@@ -77,14 +77,55 @@ namespace {
 // an α broadcasts its side; otherwise a 0 routes to the upper output and a
 // 1 to the lower, which is Parallel or Cross depending on the side it
 // entered on. An idle switch reads as Parallel.
-SwitchSetting final_level_setting(const LineValue& up, const LineValue& low) {
-  if (!up.empty() && up.tag == Tag::Alpha) return SwitchSetting::UpperBcast;
-  if (!low.empty() && low.tag == Tag::Alpha) return SwitchSetting::LowerBcast;
-  if (!up.empty()) return up.tag == Tag::Zero ? SwitchSetting::Parallel
-                                              : SwitchSetting::Cross;
-  if (!low.empty()) return low.tag == Tag::One ? SwitchSetting::Parallel
-                                               : SwitchSetting::Cross;
+SwitchSetting final_level_setting(Tag up, Tag low) {
+  if (up == Tag::Alpha) return SwitchSetting::UpperBcast;
+  if (low == Tag::Alpha) return SwitchSetting::LowerBcast;
+  if (!is_empty(up)) return up == Tag::Zero ? SwitchSetting::Parallel
+                                            : SwitchSetting::Cross;
+  if (!is_empty(low)) return low == Tag::One ? SwitchSetting::Parallel
+                                             : SwitchSetting::Cross;
   return SwitchSetting::Parallel;
+}
+
+/// The final 2x2 level over any line representation: `tag_of(i)` is line
+/// i's head tag, `source_of(i)` the input of the copy an occupied line
+/// carries.
+template <typename TagFn, typename SourceFn>
+void deliver_final(std::size_t n, TagFn&& tag_of, SourceFn&& source_of,
+                   std::vector<std::optional<std::size_t>>& delivered,
+                   RoutingStats* stats, const ExplainSink* explain) {
+  BRSMN_EXPECTS(delivered.size() == n);
+  auto deliver = [&delivered](std::size_t out, std::size_t source) {
+    BRSMN_ENSURES_MSG(!delivered[out].has_value(),
+                      "two packets delivered to one output");
+    delivered[out] = source;
+  };
+  for (std::size_t j = 0; 2 * j < n; ++j) {
+    if (stats) ++stats->switch_traversals;
+    if (explain != nullptr) {
+      const SwitchSetting s =
+          final_level_setting(tag_of(2 * j), tag_of(2 * j + 1));
+      explain->record_block(1, j, std::span<const SwitchSetting>(&s, 1),
+                            RouteRule::FinalDelivery);
+    }
+    for (const std::size_t line : {2 * j, 2 * j + 1}) {
+      const Tag tag = tag_of(line);
+      if (is_empty(tag)) continue;
+      const std::size_t source = source_of(line);
+      switch (tag) {
+        case Tag::Zero: deliver(2 * j, source); break;
+        case Tag::One: deliver(2 * j + 1, source); break;
+        case Tag::Alpha:
+          deliver(2 * j, source);
+          deliver(2 * j + 1, source);
+          if (stats) ++stats->broadcast_ops;
+          break;
+        default:
+          BRSMN_ENSURES_MSG(false, "invalid final-level tag");
+      }
+    }
+  }
+  if (stats) stats->gate_delay += final_level_delay();
 }
 
 }  // namespace
@@ -94,48 +135,40 @@ void deliver_final_level(const std::vector<LineValue>& lines,
                          RoutingStats* stats, const ExplainSink* explain,
                          obs::FabricHeatmap* heatmap) {
   const std::size_t n = lines.size();
-  BRSMN_EXPECTS(delivered.size() == n);
   if (heatmap != nullptr) heatmap->record_final_lines(lines);
   if (explain != nullptr) {
     std::vector<Tag> tags(n);
     for (std::size_t i = 0; i < n; ++i) tags[i] = lines[i].tag;
     explain->record_input_tags(tags);
   }
-  auto deliver = [&delivered](std::size_t out, const Packet& p) {
-    BRSMN_ENSURES_MSG(!delivered[out].has_value(),
-                      "two packets delivered to one output");
-    delivered[out] = p.source;
-  };
-  for (std::size_t j = 0; 2 * j < n; ++j) {
-    const LineValue& up = lines[2 * j];
-    const LineValue& low = lines[2 * j + 1];
-    if (stats) ++stats->switch_traversals;
-    if (explain != nullptr) {
-      const SwitchSetting s = final_level_setting(up, low);
-      explain->record_block(1, j, std::span<const SwitchSetting>(&s, 1),
-                            RouteRule::FinalDelivery);
-    }
-    for (const LineValue* lv : {&up, &low}) {
-      if (lv->empty()) continue;
-      BRSMN_ENSURES_MSG(lv->packet.has_value(),
-                        "occupied line reached delivery without a packet");
-      const Packet& p = *lv->packet;
-      BRSMN_ENSURES_MSG(p.stream.size() == 1 && p.stream.front() == lv->tag,
-                        "final level expects a single remaining tag");
-      switch (lv->tag) {
-        case Tag::Zero: deliver(2 * j, p); break;
-        case Tag::One: deliver(2 * j + 1, p); break;
-        case Tag::Alpha:
-          deliver(2 * j, p);
-          deliver(2 * j + 1, p);
-          if (stats) ++stats->broadcast_ops;
-          break;
-        default:
-          BRSMN_ENSURES_MSG(false, "invalid final-level tag");
-      }
-    }
-  }
-  if (stats) stats->gate_delay += final_level_delay();
+  deliver_final(
+      n, [&lines](std::size_t i) { return lines[i].tag; },
+      [&lines](std::size_t i) {
+        const LineValue& lv = lines[i];
+        BRSMN_ENSURES_MSG(lv.packet.has_value(),
+                          "occupied line reached delivery without a packet");
+        BRSMN_ENSURES_MSG(lv.packet->stream.size() == 1 &&
+                              lv.packet->stream.front() == lv.tag,
+                          "final level expects a single remaining tag");
+        return lv.packet->source;
+      },
+      delivered, stats, explain);
+}
+
+void deliver_final_level(std::span<const Tag> tags,
+                         std::span<const std::uint32_t> sources,
+                         std::vector<std::optional<std::size_t>>& delivered,
+                         RoutingStats* stats, const ExplainSink* explain) {
+  BRSMN_EXPECTS(sources.size() == tags.size());
+  if (explain != nullptr) explain->record_input_tags(tags);
+  deliver_final(
+      tags.size(), [&tags](std::size_t i) { return tags[i]; },
+      [&sources](std::size_t i) {
+        BRSMN_ENSURES_MSG(sources[i] != kNoSource,
+                          "occupied line reached delivery without a copy");
+        return static_cast<std::size_t>(sources[i]);
+      },
+      delivered, stats, explain);
 }
 
 Brsmn::Brsmn(std::size_t n) : n_(n), m_(log2_exact(n)) {
@@ -250,14 +283,16 @@ RouteResult Brsmn::route(const MulticastAssignment& assignment,
       result.stats.gate_delay += bsn_routing_delay(log2_exact(bsn_size));
       result.broadcasts_per_level.push_back(result.stats.broadcast_ops -
                                             splits_before);
-      if (checking) {
-        fault::guard(true, n_, route_ord, k, std::nullopt, true, [&] {
+      fault::guard(checking, n_, route_ord, k, std::nullopt, true, [&] {
+        {
+          obs::PhaseTimer advance_timer(probe.advance);
           advance_streams(lines);
+        }
+        if (checking) {
+          obs::PhaseTimer check_timer(probe.self_check);
           fault::self_check_level(lines, k, route_ord);
-        });
-      } else {
-        advance_streams(lines);
-      }
+        }
+      });
     }
 
     if (options.capture_levels) result.level_inputs.push_back(lines);

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -185,6 +186,16 @@ void deliver_final_level(const std::vector<LineValue>& lines,
                          RoutingStats* stats,
                          const ExplainSink* explain = nullptr,
                          obs::FabricHeatmap* heatmap = nullptr);
+
+/// deliver_final_level over the packed engine's stream-free line state:
+/// `tags[i]` is line i's head tag and `sources[i]` the input its copy came
+/// from (kNoSource on empty lines). The caller records the heatmap from
+/// its tag planes.
+void deliver_final_level(std::span<const Tag> tags,
+                         std::span<const std::uint32_t> sources,
+                         std::vector<std::optional<std::size_t>>& delivered,
+                         RoutingStats* stats,
+                         const ExplainSink* explain = nullptr);
 
 class Brsmn {
  public:

@@ -199,14 +199,16 @@ RouteResult FeedbackBrsmn::route(const MulticastAssignment& assignment,
 
       result.broadcasts_per_level.push_back(result.stats.broadcast_ops -
                                             splits_before);
-      if (checking) {
-        fault::guard(true, n, route_ord, k, std::nullopt, true, [&] {
+      fault::guard(checking, n, route_ord, k, std::nullopt, true, [&] {
+        {
+          obs::PhaseTimer advance_timer(probe.advance);
           advance_streams(lines);
+        }
+        if (checking) {
+          obs::PhaseTimer check_timer(probe.self_check);
           fault::self_check_level(lines, k, route_ord);
-        });
-      } else {
-        advance_streams(lines);
-      }
+        }
+      });
     }
 
     // Final pass: the 2x2-switch level, realized by stage 1 of the fabric.

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -56,11 +57,11 @@ struct LevelKernel {
   /// only changes speed, never state.
   const simd::SimdOps* ops = &simd::ops();
 
-  /// Byte-per-line staging buffer for the SoA tag transposes: load_lines
-  /// encodes into it before one tag_pack call, gather decodes whole
-  /// planes into it with one tag_unpack call. Sized words_for(n)*64; the
-  /// tail bytes past n are zero and never written (the tag planes' bits
-  /// past n are zero, so unpack rewrites them with zeros).
+  /// Byte-per-line staging buffer for the SoA plane transposes: the
+  /// compile's gather decodes the tag planes (or a triple of code planes)
+  /// into it with one tag_unpack call. Sized words_for(n)*64; the tail
+  /// bytes past n are zero and never written (the planes' bits past n
+  /// are zero, so unpack rewrites them with zeros).
   std::vector<std::uint8_t> tag_bytes;
 
   LevelKernel(std::size_t n_, int m, int stages_)
@@ -102,9 +103,10 @@ struct LevelKernel {
 /// i holds bit p of i); the three tag planes stay zero.
 void load_identity_codes(LevelKernel& kx);
 
-/// load_identity_codes plus the transposed Table 1 tag encoding of the
-/// level's line state.
-void load_lines(LevelKernel& kx, const std::vector<LineValue>& lines);
+/// load_identity_codes plus one tag_pack transpose of `enc`, the level's
+/// Table 1 tag encodings (one byte per line, words_for(n) * 64 bytes with
+/// a zero tail).
+void load_lines(LevelKernel& kx, std::span<const std::uint8_t> enc);
 
 /// Propagate the planes through the configured scatter stages, latching
 /// broadcast parent codes and emitting event codes (see
@@ -132,13 +134,71 @@ struct ReplayWorkspace {
         final_t2(packed::words_for(n), 0) {}
 };
 
+/// Every source's tag tree (paper Section 7.1, Figs. 9/11) for one
+/// route, 2 bits per heap node holding the Tag value itself (0, 1, α, ε
+/// are 0..3), one row of n - 1 nodes per network input. This is what
+/// lets the packed compile drop the per-copy header: once a copy has
+/// consumed its head tag, its remaining stream is exactly its source's
+/// subtree below the sub-network it entered, so the copy's next tag is
+/// one node lookup (CopyLines::node names the subtree). 2n bits per
+/// source (256 KiB at n = 1024), allocated once per workspace and left
+/// uninitialized: build_row writes a source's whole row before any lookup
+/// reads it, and rows of idle sources are never written or read, so only
+/// busy sources' rows are ever touched.
+class TagTable {
+ public:
+  explicit TagTable(std::size_t n)
+      : n_(n),
+        row_words_((n + 31) / 32),
+        words_(std::make_unique_for_overwrite<std::uint64_t[]>(
+            n * row_words_)) {}
+
+  /// Rebuild `source`'s row from its sorted, unique destination list in
+  /// O(|dests| log n) past an n/32-word ε fill: each destination marks
+  /// its ancestor chain up to the first node an earlier one reached.
+  void build_row(std::size_t source, std::span<const std::size_t> dests);
+
+  /// Heap node k (1 <= k < n) of `source`'s tree.
+  Tag node(std::size_t source, std::size_t k) const {
+    const std::uint64_t w = words_[source * row_words_ + (k >> 5)];
+    return static_cast<Tag>((w >> ((k & 31u) * 2)) & 3u);
+  }
+
+ private:
+  std::size_t n_;
+  std::size_t row_words_;
+  std::unique_ptr<std::uint64_t[]> words_;
+};
+
+/// The per-line copy state the packed compile carries between levels in
+/// place of Packets and their tag streams: the input each line's copy
+/// came from (kNoSource on empty lines), the tag-tree node its exit tags
+/// have steered it to, and its trace ids. A copy entering level k sits
+/// at a level-k node 2^(k-1) + b; its stream would be that node's
+/// subtree, its head tag the node's tag. Leaving the level with exit tag
+/// t it moves to child 2 * node + t — the branch advance_streams would
+/// split off — which is the sub-network b' = i / (n >> k) of its new line
+/// i whenever the level's quasisort honoured the split. The gather moves
+/// all four arrays through a level's codes exactly as it moves copies.
+struct CopyLines {
+  std::vector<std::uint32_t> source;
+  std::vector<std::uint32_t> node;
+  std::vector<std::uint64_t> copy_id;
+  std::vector<std::uint64_t> parent_id;
+
+  explicit CopyLines(std::size_t n)
+      : source(n, kNoSource), node(n, 0), copy_id(n, 0), parent_id(n, 0) {}
+};
+
 /// Reusable compile scratch owned by the network objects, mirroring
 /// ReplayWorkspace: one widest-level kernel (begin_level reconfigures it
 /// per level) plus every per-level buffer the configuration sweeps need —
 /// the SoA tag censuses, the ε0 selection plane, the scatter type tree
 /// (flat, level j at offset 2n - n/2^(j-1)), the backward-sweep run
-/// starts, the per-block entry tallies, and the gather double buffer.
-/// First route allocates once; warm compiles reuse everything.
+/// starts, the per-block entry tallies — and the stream-free line state:
+/// the route's tag table, the double-buffered copy arrays, and the next
+/// level's staged tag encodings. First route allocates once; warm
+/// compiles and patches reuse everything.
 struct CompileWorkspace {
   LevelKernel kx;
   packed::TagCensus census;   ///< scatter-entry census
@@ -152,11 +212,28 @@ struct CompileWorkspace {
   std::vector<std::size_t> in_ones;
   std::vector<std::size_t> in_alphas;
   std::vector<std::size_t> in_epses;
-  std::vector<LineValue> line_buf;        ///< gather output double buffer
-  std::vector<std::uint8_t> side_done;    ///< per-event first-copy latch
+  std::vector<BcastEvent*> order;  ///< finalize_events' allocation order
+  TagTable table;
+  CopyLines copies;  ///< copy state entering the current level
+  CopyLines moved;   ///< gather output, swapped into `copies`
+  /// Table 1 encodings of the tags entering the next level (looked up
+  /// from `table` by the gather), words_for(n) * 64 bytes, zero tail.
+  std::vector<std::uint8_t> head;
+  std::vector<std::uint32_t> codes;    ///< transposed code planes
+  packed::Words zero_plane;            ///< pads the last code triple
+  std::vector<std::uint64_t> seen_ids;  ///< self-check copy-id bitset
+  std::vector<Tag> final_tags;         ///< decoded final-level heads
 
   CompileWorkspace(std::size_t n, int m)
-      : kx(n, m, m), eps0_sel(packed::words_for(n), 0) {
+      : kx(n, m, m),
+        eps0_sel(packed::words_for(n), 0),
+        table(n),
+        copies(n),
+        moved(n),
+        head(packed::words_for(n) * packed::kWordBits, 0),
+        codes(n, 0),
+        zero_plane(packed::words_for(n), 0),
+        final_tags(n, Tag::Eps) {
     type.reserve(2 * n);
     start.reserve(n / 2);
     next.reserve(n / 2);

@@ -35,6 +35,11 @@ struct LineValue {
   friend bool operator==(const LineValue&, const LineValue&) = default;
 };
 
+/// The `source` of a line that carries no copy, in the packed compile's
+/// per-line copy arrays (pkern::CopyLines), which hold sources rather
+/// than whole Packets.
+inline constexpr std::uint32_t kNoSource = ~std::uint32_t{0};
+
 /// An empty (ε) line.
 inline LineValue eps_line() { return LineValue{}; }
 

@@ -1,10 +1,12 @@
 #include "core/packed_kernel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <memory>
 #include <numeric>
+#include <utility>
 
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
@@ -15,6 +17,7 @@
 #include "core/quasisort.hpp"
 #include "core/route_plan.hpp"
 #include "core/scatter.hpp"
+#include "core/tag_sequence.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/locate.hpp"
 #include "fault/self_check.hpp"
@@ -410,7 +413,37 @@ constexpr std::uint64_t kIdentityPattern[6] = {
 constexpr std::uint8_t kTagEncoding[6] = {0b000, 0b001, 0b100,
                                           0b110, 0b110, 0b111};
 
+/// The Table 1 encoding of a plain ε; an encoding is in the ε family
+/// exactly when both of these bits (b0, b1) are set.
+constexpr std::uint8_t kEpsEncoding = 0b110;
+
 }  // namespace
+
+void TagTable::build_row(std::size_t source,
+                         std::span<const std::size_t> dests) {
+  std::uint64_t* row = words_.get() + source * row_words_;
+  std::fill_n(row, row_words_, ~std::uint64_t{0});  // every node ε (3)
+  for (const std::size_t d : dests) {
+    BRSMN_EXPECTS(d < n_);
+    // Climb from the leaf's parent: an ε node takes the branch the climb
+    // came from (Tag::Zero / Tag::One are 0 / 1) and the climb goes on;
+    // the first node an earlier destination reached merges (the other
+    // branch makes it α) and its ancestors are already right.
+    for (std::size_t x = n_ + d; x > 1; x >>= 1) {
+      const std::size_t k = x >> 1;
+      const std::uint64_t branch = x & 1u;
+      std::uint64_t& w = row[k >> 5];
+      const unsigned shift = static_cast<unsigned>(k & 31u) * 2;
+      const std::uint64_t t = (w >> shift) & 3u;
+      if (t == 3) {
+        w ^= (3u ^ branch) << shift;
+        continue;
+      }
+      if (t != branch) w ^= (t ^ 2u) << shift;  // 0/1 -> α; α stays α
+      break;
+    }
+  }
+}
 
 void load_identity_codes(LevelKernel& kx) {
   kx.state.clear();
@@ -429,21 +462,16 @@ void load_identity_codes(LevelKernel& kx) {
   }
 }
 
-/// Transpose the level's line state into the kernel's planes: codes are
-/// the line indices, tags the Table 1 encoding (b0 = plane 0 of the tag
-/// planes). All plane bits at positions >= n stay zero: the byte stage
+/// Load the level's line state into the kernel's planes: codes are the
+/// line indices, tags the Table 1 encoding (b0 = plane 0 of the tag
+/// planes). All plane bits at positions >= n stay zero: the encoding
 /// buffer's tail bytes are zero, and the zero encoding contributes no
-/// plane bits. One branch-free encode sweep plus one tag_pack transpose
-/// replaces the three conditional bit-sets per line.
-void load_lines(LevelKernel& kx, const std::vector<LineValue>& lines) {
-  load_identity_codes(kx);
-  const std::size_t n = kx.n;
+/// plane bits.
+void load_lines(LevelKernel& kx, std::span<const std::uint8_t> enc) {
   const std::size_t wpl = kx.state.words_per_plane();
-  std::uint8_t* enc = kx.tag_bytes.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    enc[i] = kTagEncoding[static_cast<std::uint8_t>(lines[i].tag)];
-  }
-  kx.ops->tag_pack(enc, kx.tag_plane(0).data(), kx.tag_plane(1).data(),
+  BRSMN_EXPECTS(enc.size() >= wpl * pk::kWordBits);
+  load_identity_codes(kx);
+  kx.ops->tag_pack(enc.data(), kx.tag_plane(0).data(), kx.tag_plane(1).data(),
                    kx.tag_plane(2).data(), wpl);
 }
 
@@ -516,6 +544,9 @@ namespace {
 
 namespace pk = packed;
 using pkern::BcastEvent;
+using pkern::CompileWorkspace;
+using pkern::kEpsEncoding;
+using pkern::kTagEncoding;
 using pkern::LevelKernel;
 using pkern::load_lines;
 using pkern::run_scatter_datapath;
@@ -596,7 +627,7 @@ void capture_stage_events(const LevelKernel& kx,
 /// unrolled engine's Eq. (3) check.
 template <typename InstallFn>
 std::vector<ScatterNodeValue> configure_scatter_packed(
-    pkern::CompileWorkspace& ws, const pk::TagCensus& census,
+    CompileWorkspace& ws, const pk::TagCensus& census,
     RoutingStats* stats, const ExplainSink* explain, InstallFn&& install) {
   LevelKernel& kx = ws.kx;
   const std::size_t n = kx.n;
@@ -717,20 +748,31 @@ std::vector<ScatterNodeValue> configure_scatter_packed(
 /// reserve their ids. The scalar engines allocate during propagation:
 /// stage-major over the fabric for the feedback engine, and BSN-block-
 /// major (each BSN fully routed before the next) for the unrolled engine.
-/// The per-stage lists are already (stage, line)-ascending, so a stable
-/// sort by BSN block reproduces the unrolled order exactly.
-void finalize_events(LevelKernel& kx, bool bsn_block_major,
+/// The per-stage lists are already (stage, line)-ascending, so each BSN
+/// block's events form one contiguous run per stage: walking the blocks
+/// and, within each, the stages reproduces the unrolled order exactly — a
+/// stable sort by block, without a sort's scratch buffer.
+void finalize_events(CompileWorkspace& ws, bool bsn_block_major,
                      std::uint64_t& next_copy_id, RoutingStats* stats) {
-  std::vector<BcastEvent*> flat;
-  for (auto& stage : kx.events) {
-    for (auto& ev : stage) flat.push_back(&ev);
-  }
+  LevelKernel& kx = ws.kx;
+  std::vector<BcastEvent*>& flat = ws.order;
+  flat.clear();
   if (bsn_block_major) {
     const int S = kx.stages;
-    std::stable_sort(flat.begin(), flat.end(),
-                     [S](const BcastEvent* a, const BcastEvent* b) {
-                       return (a->upper >> S) < (b->upper >> S);
-                     });
+    std::array<std::size_t, 64> cursor{};  // per stage; S <= 63
+    for (std::size_t b = 0; b < (kx.n >> S); ++b) {
+      for (int j = 0; j < S; ++j) {
+        auto& evs = kx.events[static_cast<std::size_t>(j)];
+        std::size_t& c = cursor[static_cast<std::size_t>(j)];
+        for (; c < evs.size() && (evs[c].upper >> S) == b; ++c) {
+          flat.push_back(&evs[c]);
+        }
+      }
+    }
+  } else {
+    for (auto& stage : kx.events) {
+      for (auto& ev : stage) flat.push_back(&ev);
+    }
   }
   for (std::size_t r = 0; r < flat.size(); ++r) flat[r]->ord = r;
   kx.num_events = flat.size();
@@ -744,7 +786,7 @@ void finalize_events(LevelKernel& kx, bool bsn_block_major,
 /// hands the dummy-0 budget to the leftmost ε lines, so the first
 /// n_eps0 ε bits of each block stay ε0 (110) and the rest gain the b2 bit
 /// (ε1 = 111). Tree-op counters match the scalar sweep's closed form.
-void divide_eps_packed(pkern::CompileWorkspace& ws,
+void divide_eps_packed(CompileWorkspace& ws,
                        const pk::TagCensus& census, RoutingStats* stats) {
   LevelKernel& kx = ws.kx;
   const std::size_t n = kx.n;
@@ -774,7 +816,7 @@ void divide_eps_packed(pkern::CompileWorkspace& ws,
 /// sort of the b2 keys with the 1-run starting at the midpoint, each merge
 /// node solved by the shared lemma1_geometry.
 template <typename InstallFn>
-void configure_quasisort_packed(pkern::CompileWorkspace& ws,
+void configure_quasisort_packed(CompileWorkspace& ws,
                                 const pk::TagCensus& census,
                                 RoutingStats* stats,
                                 const ExplainSink* explain,
@@ -824,75 +866,238 @@ void configure_quasisort_packed(pkern::CompileWorkspace& ws,
   }
 }
 
-/// Rebuild the level's LineValue vector from the planes after the
-/// quasisort datapath: codes below n move the corresponding input packet;
-/// event codes materialize the scalar engine's broadcast copies (0-copy on
-/// the even code) from the latched parent packet. `lines` is replaced by
-/// the gathered state via the workspace's double buffer; the tag decode
-/// is one tag_unpack transpose instead of three bit probes per line.
-void gather_lines(pkern::CompileWorkspace& ws, std::vector<LineValue>& lines) {
+/// Start a route's stream-free line state: each busy input's tag-tree
+/// row, one copy per such input with ids handed out in input order (as
+/// initial_lines does), and the level-1 heads — each tree's root.
+void begin_copies(CompileWorkspace& ws, const MulticastAssignment& a,
+                  std::uint64_t& next_copy_id) {
+  const std::size_t n = ws.kx.n;
+  BRSMN_EXPECTS_MSG(a.size() == n, "assignment width must match the network");
+  pkern::CopyLines& c = ws.copies;
+  for (std::size_t s = 0; s < n; ++s) {
+    const auto& dests = a.destinations(s);
+    if (dests.empty()) {
+      c.source[s] = kNoSource;
+      ws.head[s] = kEpsEncoding;
+      continue;
+    }
+    ws.table.build_row(s, dests);
+    c.source[s] = static_cast<std::uint32_t>(s);
+    c.node[s] = 1;
+    c.copy_id[s] = next_copy_id++;
+    c.parent_id[s] = c.copy_id[s];
+    ws.head[s] = kTagEncoding[static_cast<std::uint8_t>(ws.table.node(s, 1))];
+  }
+}
+
+/// Transpose the code planes into one code per line, three planes per
+/// tag_unpack call: the byte it writes holds code bits p+2, p+1, p.
+void unpack_codes(CompileWorkspace& ws) {
   LevelKernel& kx = ws.kx;
   const std::size_t n = kx.n;
-  std::vector<LineValue>& prev = lines;
-  std::vector<LineValue>& out = ws.line_buf;
-  out.clear();
-  out.resize(n);
+  const std::size_t wpl = kx.state.words_per_plane();
+  std::uint8_t* bytes = kx.tag_bytes.data();
+  std::uint32_t* codes = ws.codes.data();
+  const auto plane_or_zero = [&](std::size_t p) {
+    return p < kx.wcode ? kx.state.plane(p).data() : ws.zero_plane.data();
+  };
+  for (std::size_t p = 0; p < kx.wcode; p += 3) {
+    kx.ops->tag_unpack(plane_or_zero(p + 2), plane_or_zero(p + 1),
+                       plane_or_zero(p), bytes, wpl);
+    if (p == 0) {
+      for (std::size_t i = 0; i < n; ++i) codes[i] = bytes[i];
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        codes[i] |= static_cast<std::uint32_t>(bytes[i]) << p;
+      }
+    }
+  }
+}
+
+/// The stream-free gather after a level's quasisort datapath: each
+/// occupied line takes the copy its code names — the entry line's, or
+/// for a broadcast copy a fresh id under its event's latched parent —
+/// steps it to the tag-tree child its exit tag (0 or 1) selects, and
+/// looks the next level's tag up in the tag table instead of splitting
+/// it off a carried stream (the §7.1 streaming property: a copy's
+/// remaining header is its source's subtree below the sub-network it
+/// entered). The exit tags stay decoded in kx.tag_bytes for the
+/// self-check.
+void advance_copies(CompileWorkspace& ws) {
+  LevelKernel& kx = ws.kx;
+  const std::size_t n = kx.n;
+  unpack_codes(ws);
   kx.ops->tag_unpack(kx.tag_plane(0).data(), kx.tag_plane(1).data(),
                      kx.tag_plane(2).data(), kx.tag_bytes.data(),
                      kx.state.words_per_plane());
-  // One a_0 is consumed per level, so a line splits at most once per
-  // level: once both of an event's copies are materialized its parent
-  // packet is dead, and the second copy can steal the parent's stream
-  // instead of duplicating it.
-  std::vector<std::uint8_t>& first_side_done = ws.side_done;
-  first_side_done.assign(kx.num_events, 0);
+  const pkern::CopyLines& cur = ws.copies;
+  pkern::CopyLines& out = ws.moved;
+  const std::size_t code_limit = n + 2 * kx.num_events;
   for (std::size_t p = 0; p < n; ++p) {
-    const Tag tag = decode(kx.tag_bytes[p]);
-    if (is_empty(tag)) {
-      out[p].tag = tag;
-      continue;
+    const std::uint8_t exit = kx.tag_bytes[p];
+    std::uint32_t src = kNoSource;
+    std::uint32_t node = 0;
+    std::uint64_t cid = 0;
+    std::uint64_t pid = 0;
+    if ((exit & kEpsEncoding) != kEpsEncoding) {
+      const std::size_t code = ws.codes[p];
+      std::size_t from = code;
+      if (code < n) {
+        cid = cur.copy_id[code];
+        pid = cur.parent_id[code];
+      } else {
+        BRSMN_ENSURES_MSG(code < code_limit,
+                          "packed gather: code names no broadcast event");
+        from = kx.parent_code[(code - n) / 2];
+        cid = kx.copy_id_base + (code - n);
+        pid = cur.copy_id[from];
+      }
+      src = cur.source[from];
+      node = 2 * cur.node[from] + (exit & 1u);  // b2: 0 -> upper, 1 -> lower
     }
-    const auto code = static_cast<std::size_t>(kx.state.get(p, 0, kx.wcode));
-    if (code < n) {
-      BRSMN_ENSURES_MSG(prev[code].packet.has_value(),
-                        "packed gather: occupied line's code has no packet");
-      out[p].tag = tag;
-      out[p].packet = std::move(prev[code].packet);
-      continue;
-    }
-    const std::size_t ev = (code - n) / 2;
-    const std::size_t side = (code - n) % 2;
-    BRSMN_ENSURES(ev < kx.num_events);
-    BRSMN_ENSURES_MSG(prev[kx.parent_code[ev]].packet.has_value(),
-                      "packed gather: broadcast parent packet missing");
-    Packet& parent = *prev[kx.parent_code[ev]].packet;
-    Packet copy{parent.source, kx.copy_id_base + 2 * ev + side,
-                parent.copy_id, {}};
-    if (first_side_done[ev] != 0) {
-      copy.stream = std::move(parent.stream);
-    } else {
-      copy.stream = parent.stream;
-      first_side_done[ev] = 1;
-    }
-    out[p] = occupied_line(tag, std::move(copy));
+    out.source[p] = src;
+    out.node[p] = node;
+    out.copy_id[p] = cid;
+    out.parent_id[p] = pid;
+    ws.head[p] = src == kNoSource ? kEpsEncoding
+                                  : kTagEncoding[static_cast<std::uint8_t>(
+                                        ws.table.node(src, node))];
   }
-  lines.swap(out);
+  std::swap(ws.copies, ws.moved);
+}
+
+/// End of switch level k: advance the copies to level k + 1 and, under
+/// the self-check, check the planes and copy arrays — one detection
+/// point between the level's passes and the next level, as in the scalar
+/// drivers.
+void finish_level(CompileWorkspace& ws, int k, std::uint64_t next_copy_id,
+                  bool checking, std::uint64_t route_ord,
+                  obs::RouteProbe& probe) {
+  const std::size_t n = ws.kx.n;
+  fault::guard(checking, n, route_ord, k, std::nullopt, true, [&] {
+    {
+      obs::PhaseTimer advance_timer(probe.advance);
+      advance_copies(ws);
+    }
+    if (checking) {
+      obs::PhaseTimer check_timer(probe.self_check);
+      fault::self_check_copies(
+          std::span<const std::uint8_t>(ws.kx.tag_bytes.data(), n),
+          std::span<const std::uint8_t>(ws.head.data(), n), ws.copies.source,
+          ws.copies.copy_id, next_copy_id, ws.seen_ids, k, route_ord);
+    }
+  });
+}
+
+/// The line state entering `level` as the scalar engine's LineValues, for
+/// RouteOptions::capture_levels only: each copy's packet gets back the
+/// stream it would carry — its source's destinations inside the
+/// sub-network of its tag-tree node, re-encoded with the §7.1 codec.
+std::vector<LineValue> materialize_lines(const CompileWorkspace& ws,
+                                         const MulticastAssignment& a,
+                                         int level) {
+  const std::size_t n = ws.kx.n;
+  const std::size_t block = n >> (level - 1);
+  const std::size_t first_node = std::size_t{1} << (level - 1);
+  std::vector<LineValue> lines(n);
+  std::vector<std::size_t> sub;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t s = ws.copies.source[i];
+    if (s == kNoSource) continue;
+    const std::size_t lo = (ws.copies.node[i] - first_node) * block;
+    const auto& dests = a.destinations(s);
+    sub.clear();
+    for (auto it = std::lower_bound(dests.begin(), dests.end(), lo);
+         it != dests.end() && *it < lo + block; ++it) {
+      sub.push_back(*it - lo);
+    }
+    Packet p{s, ws.copies.copy_id[i], ws.copies.parent_id[i], {}};
+    encode_sequence_into(sub, block, p.stream);
+    lines[i] = occupied_line(collapse_eps(decode(ws.head[i])), std::move(p));
+  }
+  return lines;
+}
+
+/// The line state entering level `k` of a cold route: captured for
+/// RouteOptions::capture_levels (before dead lines strike, as the scalar
+/// drivers capture it), then the level's scheduled dead lines killed in
+/// the copy arrays and the staged heads.
+void enter_level(CompileWorkspace& ws, const MulticastAssignment& a, int k,
+                 fault::ImplKind impl, const RouteOptions& options,
+                 std::uint64_t route_ord, RouteResult& result) {
+  if (options.capture_levels) {
+    result.level_inputs.push_back(materialize_lines(ws, a, k));
+  }
+  fault::apply_dead_lines_with(
+      options.faults, route_ord, k, impl, RouteEngine::Packed,
+      options.fault_activity, [&ws](std::size_t line) {
+        const bool was_occupied = ws.copies.source[line] != kNoSource;
+        ws.copies.source[line] = kNoSource;
+        ws.head[line] = kEpsEncoding;
+        return was_occupied;
+      });
+}
+
+/// Configure the workspace kernel for switch level `k` (`stages` deep) and
+/// load its planes from the staged heads.
+void load_level(CompileWorkspace& ws, int k, int stages,
+                obs::RouteProbe& probe) {
+  obs::PhaseTimer load_timer(probe.advance);
+  ws.kx.begin_level(stages);
+  ws.kx.heat_level = k;
+  load_lines(ws.kx, ws.head);
 }
 
 /// Pack the tag planes of the line state entering the final 2x2-switch
 /// level into the plan, for replay-time dead-line screening.
-void capture_final_planes(const std::vector<LineValue>& lines,
-                          RoutePlan& plan) {
-  const std::size_t wpl = pk::words_for(lines.size());
-  plan.final_t0.assign(wpl, 0);
-  plan.final_t1.assign(wpl, 0);
-  plan.final_t2.assign(wpl, 0);
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::uint8_t enc = encode(lines[i].tag);
-    if (enc & 0b100u) pk::plane_set(plan.final_t0, i, true);
-    if (enc & 0b010u) pk::plane_set(plan.final_t1, i, true);
-    if (enc & 0b001u) pk::plane_set(plan.final_t2, i, true);
+void capture_final_planes(const LevelKernel& kx, RoutePlan& plan) {
+  plan.final_t0.assign(kx.tag_plane(0).begin(), kx.tag_plane(0).end());
+  plan.final_t1.assign(kx.tag_plane(1).begin(), kx.tag_plane(1).end());
+  plan.final_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
+}
+
+/// The final 2x2 delivery level, shared by both drivers and the patch
+/// walk: the heads entering level m are packed into the tag planes (the
+/// plan's final checkpoint and the heatmap read them there) and the
+/// copies are delivered from the copy arrays.
+void deliver_final_packed(CompileWorkspace& ws, int m, RoutePlan* plan,
+                          RouteResult& result, const RouteOptions& options,
+                          obs::RouteProbe& probe, bool checking,
+                          std::uint64_t route_ord,
+                          obs::FabricHeatmap* heatmap) {
+  LevelKernel& kx = ws.kx;
+  const std::size_t n = kx.n;
+  {
+    obs::PhaseTimer load_timer(probe.advance);
+    kx.ops->tag_pack(ws.head.data(), kx.tag_plane(0).data(),
+                     kx.tag_plane(1).data(), kx.tag_plane(2).data(),
+                     kx.state.words_per_plane());
+    for (std::size_t i = 0; i < n; ++i) {
+      ws.final_tags[i] = collapse_eps(decode(ws.head[i]));
+    }
   }
+  if (plan != nullptr) capture_final_planes(kx, *plan);
+  const std::size_t splits_before_final = result.stats.broadcast_ops;
+  {
+    obs::PhaseTimer final_timer(probe.datapath);
+    obs::PerfScope final_perf(probe.profiler, probe.perf_datapath);
+    obs::TraceSpan final_span(probe.tracer, "level.final");
+    ExplainSink final_sink;
+    if (options.explain) {
+      result.explanation->passes.push_back(make_pass(m, PassKind::Final, n, 1));
+      final_sink.pass = &result.explanation->passes.back();
+    }
+    fault::guard(checking, n, route_ord, m, PassKind::Final, true, [&] {
+      if (heatmap != nullptr) {
+        heatmap->record_final_tags(kx.tag_plane(0), kx.tag_plane(1));
+      }
+      deliver_final_level(ws.final_tags, ws.copies.source, result.delivered,
+                          &result.stats,
+                          options.explain ? &final_sink : nullptr);
+    });
+  }
+  result.broadcasts_per_level.push_back(result.stats.broadcast_ops -
+                                        splits_before_final);
 }
 
 /// Copy the cold route's outputs into the plan once the route has fully
@@ -939,11 +1144,10 @@ bool entry_planes_match(LevelKernel& kx, const PlanLevel& old) {
 /// gather — exactly as packed_route's level loop runs it. Shared with
 /// planner::patch_route so a recompiled level of a patched plan goes
 /// through the identical code path as a cold compile. The caller owns the
-/// kernel construction (load_lines) and, when compiling a plan, the
-/// PlanLevel's entry-plane capture.
+/// kernel load (load_lines) and, when compiling a plan, the PlanLevel's
+/// entry-plane capture.
 void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
-                            pkern::CompileWorkspace& ws,
-                            std::vector<LineValue>& lines,
+                            CompileWorkspace& ws,
                             std::uint64_t& next_copy_id, PlanLevel* pl,
                             RouteResult& result, const RouteOptions& options,
                             obs::RouteProbe& probe, bool checking,
@@ -988,9 +1192,7 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
   seam.engine = RouteEngine::Packed;
 
   if (scatter_pass != nullptr) {
-    std::vector<Tag> tags(n);
-    for (std::size_t i = 0; i < n; ++i) tags[i] = lines[i].tag;
-    scatter_sink.record_input_tags(tags);
+    scatter_sink.record_input_tags(materialize_tags(kx, /*collapse=*/true));
   }
 
   pk::TagCensus& census = ws.census;
@@ -1017,17 +1219,6 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
                         "BSN input violates n0 + n_alpha <= n/2 (Eq. 2)");
       BRSMN_EXPECTS_MSG(in_ones[bb] + in_alphas[bb] <= bsn_size / 2,
                         "BSN input violates n1 + n_alpha <= n/2 (Eq. 2)");
-      for (std::size_t i = bb * bsn_size; i < (bb + 1) * bsn_size; ++i) {
-        BRSMN_EXPECTS_MSG(
-            lines[i].empty() == !lines[i].packet.has_value(),
-            "occupied lines must carry a packet, eps lines none");
-        if (lines[i].packet) {
-          BRSMN_EXPECTS_MSG(
-              !lines[i].packet->stream.empty() &&
-                  lines[i].packet->stream.front() == lines[i].tag,
-              "line tag must equal the packet's current a_0");
-        }
-      }
     }
 
     obs::PhaseTimer scatter_timer(probe.scatter);
@@ -1062,7 +1253,7 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
 
   pk::TagCensus& mid = ws.mid;
   fault::guard(checking, n, route_ord, k, PassKind::Scatter, true, [&] {
-    finalize_events(kx, /*bsn_block_major=*/true, next_copy_id,
+    finalize_events(ws, /*bsn_block_major=*/true, next_copy_id,
                     &result.stats);
     obs::PhaseTimer scatter_datapath(probe.datapath);
     obs::TraceSpan scatter_data_span(probe.tracer, "bsn.scatter.datapath");
@@ -1168,16 +1359,7 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
                               kx.state.words().end());
   }
 
-  if (checking) {
-    fault::guard(true, n, route_ord, k, std::nullopt, true, [&] {
-      gather_lines(ws, lines);
-      advance_streams(lines);
-      fault::self_check_level(lines, k, route_ord);
-    });
-  } else {
-    gather_lines(ws, lines);
-    advance_streams(lines);
-  }
+  finish_level(ws, k, next_copy_id, checking, route_ord, probe);
   // All BSNs of one level route concurrently: charge the level's delay
   // once, not per block.
   result.stats.gate_delay += bsn_routing_delay(S);
@@ -1189,8 +1371,7 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
 /// The body of one feedback level (passes 2k-1 and 2k over the physical
 /// fabric), shared with planner::patch_route like compile_level_unrolled.
 void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
-                            pkern::CompileWorkspace& ws,
-                            std::vector<LineValue>& lines,
+                            CompileWorkspace& ws,
                             std::uint64_t& next_copy_id, PlanLevel* pl,
                             RouteResult& result, const RouteOptions& options,
                             obs::RouteProbe& probe, bool checking,
@@ -1234,9 +1415,7 @@ void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
   fault::guard(checking, n, route_ord, k, PassKind::Scatter, false, [&] {
     fabric.reset();
     if (scatter_sink.pass != nullptr) {
-      std::vector<Tag> tags(n);
-      for (std::size_t i = 0; i < n; ++i) tags[i] = lines[i].tag;
-      scatter_sink.record_input_tags(tags);
+      scatter_sink.record_input_tags(materialize_tags(kx, /*collapse=*/true));
     }
     build_census(ws.census, kx);
     obs::PhaseTimer scatter_timer(probe.scatter);
@@ -1259,7 +1438,7 @@ void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
   if (pl != nullptr) capture_stage_masks(kx, pl->scatter_masks);
   seam.apply_full_packed(fabric, PassKind::Scatter, kx.masks);
   fault::guard(checking, n, route_ord, k, PassKind::Scatter, true, [&] {
-    finalize_events(kx, /*bsn_block_major=*/false, next_copy_id,
+    finalize_events(ws, /*bsn_block_major=*/false, next_copy_id,
                     &result.stats);
     obs::PhaseTimer scatter_datapath(probe.datapath);
     obs::TraceSpan scatter_data_span(probe.tracer, "fb.scatter.datapath");
@@ -1343,16 +1522,7 @@ void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
   result.stats.gate_delay +=
       2 * config_sweep_delay(top_stage) + datapath_delay(m);
 
-  if (checking) {
-    fault::guard(true, n, route_ord, k, std::nullopt, true, [&] {
-      gather_lines(ws, lines);
-      advance_streams(lines);
-      fault::self_check_level(lines, k, route_ord);
-    });
-  } else {
-    gather_lines(ws, lines);
-    advance_streams(lines);
-  }
+  finish_level(ws, k, next_copy_id, checking, route_ord, probe);
   result.broadcasts_per_level.push_back(result.stats.broadcast_ops -
                                         splits_before);
   if (pl != nullptr) pl->stats_delta = stats_diff(result.stats, entry_stats);
@@ -1365,11 +1535,10 @@ void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
 /// order because every preceding level — reused or recompiled — produced
 /// exactly the events a cold compile of the new assignment would.
 void reuse_level_state(const PlanLevel& old,
-                       const RouteExplanation* base_explanation, std::size_t n,
-                       int k, pkern::CompileWorkspace& ws,
-                       std::vector<LineValue>& lines,
-                       std::uint64_t& next_copy_id, RouteResult& result,
-                       const RouteOptions& options, bool checking) {
+                       const RouteExplanation* base_explanation, int k,
+                       CompileWorkspace& ws, std::uint64_t& next_copy_id,
+                       RouteResult& result, const RouteOptions& options,
+                       obs::RouteProbe& probe, bool checking) {
   LevelKernel& kx = ws.kx;
   BRSMN_EXPECTS(old.post_quasisort.size() == kx.state.words().size());
   std::copy(old.post_quasisort.begin(), old.post_quasisort.end(),
@@ -1386,16 +1555,7 @@ void reuse_level_state(const PlanLevel& old,
     result.explanation->passes.push_back(passes[first]);
     result.explanation->passes.push_back(passes[first + 1]);
   }
-  if (checking) {
-    fault::guard(true, n, 0, k, std::nullopt, true, [&] {
-      gather_lines(ws, lines);
-      advance_streams(lines);
-      fault::self_check_level(lines, k, 0);
-    });
-  } else {
-    gather_lines(ws, lines);
-    advance_streams(lines);
-  }
+  finish_level(ws, k, next_copy_id, checking, /*route_ord=*/0, probe);
   result.stats += old.stats_delta;
   result.broadcasts_per_level.push_back(old.stats_delta.broadcast_ops);
 }
@@ -1406,8 +1566,7 @@ void reuse_level_state(const PlanLevel& old,
 /// matches a cold compile's grids), then restore the line state.
 void reuse_level_unrolled(std::vector<Bsn>& level, const PlanLevel& old,
                           const RouteExplanation* base_explanation,
-                          std::size_t n, int k, pkern::CompileWorkspace& ws,
-                          std::vector<LineValue>& lines,
+                          int k, CompileWorkspace& ws,
                           std::uint64_t& next_copy_id, RouteResult& result,
                           const RouteOptions& options, obs::RouteProbe& probe,
                           bool checking) {
@@ -1430,8 +1589,8 @@ void reuse_level_unrolled(std::vector<Bsn>& level, const PlanLevel& old,
           j, qrow.subspan(bb * bsn_row, bsn_row));
     }
   }
-  reuse_level_state(old, base_explanation, n, k, ws, lines, next_copy_id,
-                    result, options, checking);
+  reuse_level_state(old, base_explanation, k, ws, next_copy_id, result,
+                    options, probe, checking);
 }
 
 /// Adopt one stored level verbatim on the feedback fabric: both passes'
@@ -1439,8 +1598,7 @@ void reuse_level_unrolled(std::vector<Bsn>& level, const PlanLevel& old,
 /// fabric ends each level exactly as a cold compile leaves it.
 void reuse_level_feedback(Rbn& fabric, const PlanLevel& old,
                           const RouteExplanation* base_explanation,
-                          std::size_t n, int k, pkern::CompileWorkspace& ws,
-                          std::vector<LineValue>& lines,
+                          int k, CompileWorkspace& ws,
                           std::uint64_t& next_copy_id, RouteResult& result,
                           const RouteOptions& options, obs::RouteProbe& probe,
                           bool checking) {
@@ -1455,8 +1613,8 @@ void reuse_level_feedback(Rbn& fabric, const PlanLevel& old,
   for (std::size_t j = 0; j < old.quasisort_settings.size(); ++j) {
     fabric.install_stage(static_cast<int>(j + 1), old.quasisort_settings[j]);
   }
-  reuse_level_state(old, base_explanation, n, k, ws, lines, next_copy_id,
-                    result, options, checking);
+  reuse_level_state(old, base_explanation, k, ws, next_copy_id, result,
+                    options, probe, checking);
 }
 
 }  // namespace
@@ -1509,29 +1667,27 @@ RouteResult packed_route(Brsmn& net, const MulticastAssignment& assignment,
   if (options.fault_activity != nullptr) options.fault_activity->clear();
 
   try {
-  std::uint64_t next_copy_id = 1;
-  std::vector<LineValue> lines = initial_lines(assignment, next_copy_id);
-
   // Per-network compile workspace: the widest-level kernel plus every
-  // census/configuration buffer, allocated on the first route and reused
-  // by every later compile and patch.
+  // census/configuration buffer and the stream-free line state, allocated
+  // on the first route and reused by every later compile and patch.
   if (net.compile_ws_ == nullptr) {
-    net.compile_ws_ = std::make_unique<pkern::CompileWorkspace>(n, m);
+    net.compile_ws_ = std::make_unique<CompileWorkspace>(n, m);
   }
-  pkern::CompileWorkspace& ws = *net.compile_ws_;
-  pkern::LevelKernel& kx = ws.kx;
+  CompileWorkspace& ws = *net.compile_ws_;
+  LevelKernel& kx = ws.kx;
   kx.ops = &simd::ops(options.simd_backend);
   kx.heat = heatmap;
+  std::uint64_t next_copy_id = 1;
+  {
+    obs::PhaseTimer advance_timer(probe.advance);
+    begin_copies(ws, assignment, next_copy_id);
+  }
 
   for (int k = 1; k <= m - 1; ++k) {
-    if (options.capture_levels) result.level_inputs.push_back(lines);
-    fault::apply_dead_lines(options.faults, route_ord, k,
-                            fault::ImplKind::Unrolled, RouteEngine::Packed,
-                            lines, options.fault_activity);
+    enter_level(ws, assignment, k, fault::ImplKind::Unrolled, options,
+                route_ord, result);
     const int S = log2_exact(n >> (k - 1));
-    kx.begin_level(S);
-    kx.heat_level = k;
-    load_lines(kx, lines);
+    load_level(ws, k, S, probe);
     PlanLevel* pl = nullptr;
     if (plan != nullptr) {
       pl = &plan->levels.emplace_back();
@@ -1541,33 +1697,14 @@ RouteResult packed_route(Brsmn& net, const MulticastAssignment& assignment,
       pl->entry_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
     }
     compile_level_unrolled(net.levels_[static_cast<std::size_t>(k - 1)], n, k,
-                           ws, lines, next_copy_id, pl, result, options,
-                           probe, checking, route_ord);
+                           ws, next_copy_id, pl, result, options, probe,
+                           checking, route_ord);
   }
 
-  if (options.capture_levels) result.level_inputs.push_back(lines);
-  fault::apply_dead_lines(options.faults, route_ord, m,
-                          fault::ImplKind::Unrolled, RouteEngine::Packed,
-                          lines, options.fault_activity);
-  if (plan != nullptr) capture_final_planes(lines, *plan);
-  const std::size_t splits_before_final = result.stats.broadcast_ops;
-  {
-    obs::PhaseTimer final_timer(probe.datapath);
-    obs::PerfScope final_perf(probe.profiler, probe.perf_datapath);
-    obs::TraceSpan final_span(probe.tracer, "level.final");
-    ExplainSink final_sink;
-    if (options.explain) {
-      result.explanation->passes.push_back(
-          make_pass(m, PassKind::Final, n, 1));
-      final_sink.pass = &result.explanation->passes.back();
-    }
-    fault::guard(checking, n, route_ord, m, PassKind::Final, true, [&] {
-      deliver_final_level(lines, result.delivered, &result.stats,
-                          options.explain ? &final_sink : nullptr, heatmap);
-    });
-  }
-  result.broadcasts_per_level.push_back(result.stats.broadcast_ops -
-                                        splits_before_final);
+  enter_level(ws, assignment, m, fault::ImplKind::Unrolled, options, route_ord,
+              result);
+  deliver_final_packed(ws, m, plan, result, options, probe, checking,
+                       route_ord, heatmap);
 
   const auto expected = expected_delivery(assignment);
   if (checking) {
@@ -1637,27 +1774,25 @@ RouteResult packed_route(FeedbackBrsmn& net,
   if (options.fault_activity != nullptr) options.fault_activity->clear();
 
   try {
-  std::uint64_t next_copy_id = 1;
-  std::vector<LineValue> lines = initial_lines(assignment, next_copy_id);
-
   // See the unrolled driver: per-network workspace, reused every route.
   if (net.compile_ws_ == nullptr) {
-    net.compile_ws_ = std::make_unique<pkern::CompileWorkspace>(n, m);
+    net.compile_ws_ = std::make_unique<CompileWorkspace>(n, m);
   }
-  pkern::CompileWorkspace& ws = *net.compile_ws_;
-  pkern::LevelKernel& kx = ws.kx;
+  CompileWorkspace& ws = *net.compile_ws_;
+  LevelKernel& kx = ws.kx;
   kx.ops = &simd::ops(options.simd_backend);
   kx.heat = heatmap;
+  std::uint64_t next_copy_id = 1;
+  {
+    obs::PhaseTimer advance_timer(probe.advance);
+    begin_copies(ws, assignment, next_copy_id);
+  }
 
   for (int k = 1; k <= m - 1; ++k) {
-    if (options.capture_levels) result.level_inputs.push_back(lines);
-    fault::apply_dead_lines(options.faults, route_ord, k,
-                            fault::ImplKind::Feedback, RouteEngine::Packed,
-                            lines, options.fault_activity);
+    enter_level(ws, assignment, k, fault::ImplKind::Feedback, options,
+                route_ord, result);
     const int top_stage = m - k + 1;  // level-k BSN size is 2^top_stage
-    kx.begin_level(top_stage);
-    kx.heat_level = k;
-    load_lines(kx, lines);
+    load_level(ws, k, top_stage, probe);
     PlanLevel* pl = nullptr;
     if (plan != nullptr) {
       pl = &plan->levels.emplace_back();
@@ -1666,33 +1801,15 @@ RouteResult packed_route(FeedbackBrsmn& net,
       pl->entry_t1.assign(kx.tag_plane(1).begin(), kx.tag_plane(1).end());
       pl->entry_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
     }
-    compile_level_feedback(net.fabric_, n, m, k, ws, lines, next_copy_id, pl,
-                           result, options, probe, checking, route_ord);
+    compile_level_feedback(net.fabric_, n, m, k, ws, next_copy_id, pl, result,
+                           options, probe, checking, route_ord);
   }
 
   // Final pass: the 2x2-switch level, realized by stage 1 of the fabric.
-  if (options.capture_levels) result.level_inputs.push_back(lines);
-  fault::apply_dead_lines(options.faults, route_ord, m,
-                          fault::ImplKind::Feedback, RouteEngine::Packed,
-                          lines, options.fault_activity);
-  if (plan != nullptr) capture_final_planes(lines, *plan);
-  const std::size_t splits_before_final = result.stats.broadcast_ops;
-  {
-    obs::PhaseTimer final_timer(probe.datapath);
-    obs::PerfScope final_perf(probe.profiler, probe.perf_datapath);
-    obs::TraceSpan final_span(probe.tracer, "level.final");
-    ExplainSink final_sink;
-    if (options.explain) {
-      result.explanation->passes.push_back(make_pass(m, PassKind::Final, n, 1));
-      final_sink.pass = &result.explanation->passes.back();
-    }
-    fault::guard(checking, n, route_ord, m, PassKind::Final, true, [&] {
-      deliver_final_level(lines, result.delivered, &result.stats,
-                          options.explain ? &final_sink : nullptr, heatmap);
-    });
-  }
-  result.broadcasts_per_level.push_back(result.stats.broadcast_ops -
-                                        splits_before_final);
+  enter_level(ws, assignment, m, fault::ImplKind::Feedback, options, route_ord,
+              result);
+  deliver_final_packed(ws, m, plan, result, options, probe, checking,
+                       route_ord, heatmap);
   ++result.stats.fabric_passes;
 
   const auto expected = expected_delivery(assignment);
@@ -1727,7 +1844,7 @@ namespace {
 template <typename ReuseFn, typename CompileFn>
 planner::PatchOutcome patch_route_core(
     std::size_t n, int m, fault::ImplKind impl,
-    pkern::CompileWorkspace& ws, const MulticastAssignment& assignment,
+    CompileWorkspace& ws, const MulticastAssignment& assignment,
     const RoutePlan& base, const RouteOptions& options, RoutePlan& out,
     const planner::PatchConfig& config, ReuseFn&& reuse,
     CompileFn&& compile) {
@@ -1780,8 +1897,6 @@ planner::PatchOutcome patch_route_core(
   out.levels.reserve(static_cast<std::size_t>(m - 1));
 
   const bool checking = options.self_check;
-  std::uint64_t next_copy_id = 1;
-  std::vector<LineValue> lines = initial_lines(assignment, next_copy_id);
 
   // Recompile budget: one more dirty level than this abandons the patch.
   // Dirtiness is not monotone in depth — a level's entries re-converge
@@ -1793,18 +1908,21 @@ planner::PatchOutcome patch_route_core(
   const double budget =
       config.max_dirty_fraction * static_cast<double>(m - 1);
 
-  pkern::LevelKernel& kx = ws.kx;
+  LevelKernel& kx = ws.kx;
   kx.ops = &simd::ops(options.simd_backend);
   // Reused levels restore stored checkpoints without re-running the
   // datapath, so only recompiled levels (and the always-fresh final
   // level) accumulate heatmap activity on the patch path.
   kx.heat = heatmap;
+  std::uint64_t next_copy_id = 1;
+  {
+    obs::PhaseTimer advance_timer(probe.advance);
+    begin_copies(ws, assignment, next_copy_id);
+  }
 
   for (int k = 1; k <= m - 1; ++k) {
     const int stages = m - k + 1;  // both impls: level-k BSN size 2^(m-k+1)
-    kx.begin_level(stages);
-    kx.heat_level = k;
-    load_lines(kx, lines);
+    load_level(ws, k, stages, probe);
     const PlanLevel& old = base.levels[static_cast<std::size_t>(k - 1)];
     const bool clean = old.stages == stages && entry_planes_match(kx, old);
     if (!clean) {
@@ -1816,38 +1934,22 @@ planner::PatchOutcome patch_route_core(
     PlanLevel* pl = &out.levels.emplace_back();
     if (clean) {
       *pl = old;
-      reuse(k, old, ws, lines, next_copy_id, result, probe, checking);
+      reuse(k, old, ws, next_copy_id, result, probe, checking);
       ++outcome.levels_reused;
     } else {
       pl->stages = stages;
       pl->entry_t0.assign(kx.tag_plane(0).begin(), kx.tag_plane(0).end());
       pl->entry_t1.assign(kx.tag_plane(1).begin(), kx.tag_plane(1).end());
       pl->entry_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
-      compile(k, ws, lines, next_copy_id, pl, result, probe, checking);
+      compile(k, ws, next_copy_id, pl, result, probe, checking);
       ++outcome.levels_recompiled;
     }
   }
 
   // The final 2x2 delivery level is always computed fresh — it is cheap,
   // and rebuilding it revalidates the patched route's delivery end to end.
-  capture_final_planes(lines, out);
-  const std::size_t splits_before_final = result.stats.broadcast_ops;
-  {
-    obs::PhaseTimer final_timer(probe.datapath);
-    obs::PerfScope final_perf(probe.profiler, probe.perf_datapath);
-    obs::TraceSpan final_span(probe.tracer, "level.final");
-    ExplainSink final_sink;
-    if (options.explain) {
-      result.explanation->passes.push_back(make_pass(m, PassKind::Final, n, 1));
-      final_sink.pass = &result.explanation->passes.back();
-    }
-    fault::guard(checking, n, 0, m, PassKind::Final, true, [&] {
-      deliver_final_level(lines, result.delivered, &result.stats,
-                          options.explain ? &final_sink : nullptr, heatmap);
-    });
-  }
-  result.broadcasts_per_level.push_back(result.stats.broadcast_ops -
-                                        splits_before_final);
+  deliver_final_packed(ws, m, &out, result, options, probe, checking,
+                       /*route_ord=*/0, heatmap);
   if (impl == fault::ImplKind::Feedback) ++result.stats.fabric_passes;
 
   const auto expected = expected_delivery(assignment);
@@ -1877,23 +1979,23 @@ PatchOutcome patch_route(Brsmn& net, const MulticastAssignment& assignment,
       base.explanation.has_value() ? &*base.explanation : nullptr;
   if (net.compile_ws_ == nullptr) {
     net.compile_ws_ =
-        std::make_unique<pkern::CompileWorkspace>(net.n_, net.m_);
+        std::make_unique<CompileWorkspace>(net.n_, net.m_);
   }
   return patch_route_core(
       net.n_, net.m_, fault::ImplKind::Unrolled, *net.compile_ws_,
       assignment, base, options, out, config,
-      [&](int k, const PlanLevel& old, pkern::CompileWorkspace& ws,
-          std::vector<LineValue>& lines, std::uint64_t& next_copy_id,
-          RouteResult& result, obs::RouteProbe& probe, bool checking) {
-        reuse_level_unrolled(net.levels_[static_cast<std::size_t>(k - 1)],
-                             old, base_expl, net.n_, k, ws, lines,
-                             next_copy_id, result, options, probe, checking);
-      },
-      [&](int k, pkern::CompileWorkspace& ws, std::vector<LineValue>& lines,
-          std::uint64_t& next_copy_id, PlanLevel* pl, RouteResult& result,
+      [&](int k, const PlanLevel& old, CompileWorkspace& ws,
+          std::uint64_t& next_copy_id, RouteResult& result,
           obs::RouteProbe& probe, bool checking) {
+        reuse_level_unrolled(net.levels_[static_cast<std::size_t>(k - 1)],
+                             old, base_expl, k, ws, next_copy_id, result,
+                             options, probe, checking);
+      },
+      [&](int k, CompileWorkspace& ws, std::uint64_t& next_copy_id,
+          PlanLevel* pl, RouteResult& result, obs::RouteProbe& probe,
+          bool checking) {
         compile_level_unrolled(net.levels_[static_cast<std::size_t>(k - 1)],
-                               net.n_, k, ws, lines, next_copy_id, pl, result,
+                               net.n_, k, ws, next_copy_id, pl, result,
                                options, probe, checking, /*route_ord=*/0);
       });
 }
@@ -1905,25 +2007,24 @@ PatchOutcome patch_route(FeedbackBrsmn& net,
   const RouteExplanation* base_expl =
       base.explanation.has_value() ? &*base.explanation : nullptr;
   if (net.compile_ws_ == nullptr) {
-    net.compile_ws_ = std::make_unique<pkern::CompileWorkspace>(
+    net.compile_ws_ = std::make_unique<CompileWorkspace>(
         net.size(), net.levels());
   }
   return patch_route_core(
       net.size(), net.levels(), fault::ImplKind::Feedback, *net.compile_ws_,
       assignment, base, options, out, config,
-      [&](int k, const PlanLevel& old, pkern::CompileWorkspace& ws,
-          std::vector<LineValue>& lines, std::uint64_t& next_copy_id,
-          RouteResult& result, obs::RouteProbe& probe, bool checking) {
-        reuse_level_feedback(net.fabric_, old, base_expl, net.size(), k, ws,
-                             lines, next_copy_id, result, options, probe,
-                             checking);
-      },
-      [&](int k, pkern::CompileWorkspace& ws, std::vector<LineValue>& lines,
-          std::uint64_t& next_copy_id, PlanLevel* pl, RouteResult& result,
+      [&](int k, const PlanLevel& old, CompileWorkspace& ws,
+          std::uint64_t& next_copy_id, RouteResult& result,
           obs::RouteProbe& probe, bool checking) {
+        reuse_level_feedback(net.fabric_, old, base_expl, k, ws, next_copy_id,
+                             result, options, probe, checking);
+      },
+      [&](int k, CompileWorkspace& ws, std::uint64_t& next_copy_id,
+          PlanLevel* pl, RouteResult& result, obs::RouteProbe& probe,
+          bool checking) {
         compile_level_feedback(net.fabric_, net.size(), net.levels(), k, ws,
-                               lines, next_copy_id, pl, result, options,
-                               probe, checking, /*route_ord=*/0);
+                               next_copy_id, pl, result, options, probe,
+                               checking, /*route_ord=*/0);
       });
 }
 

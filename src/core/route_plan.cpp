@@ -70,25 +70,17 @@ bool apply_dead_lines_packed(const fault::FaultInjector* injector,
                              std::span<std::uint64_t> t1,
                              std::span<std::uint64_t> t2,
                              fault::FaultActivity* activity) {
-  if (injector == nullptr) return false;
   bool any_killed = false;
-  for (const auto& dead : injector->dead_lines(route, level, impl, engine)) {
-    const bool was_occupied =
-        !(pk::plane_get(t0, dead.line) && pk::plane_get(t1, dead.line));
-    pk::plane_set(t0, dead.line, true);
-    pk::plane_set(t1, dead.line, true);
-    pk::plane_set(t2, dead.line, false);
-    any_killed = any_killed || was_occupied;
-    if (activity != nullptr) {
-      fault::AppliedFault a;
-      a.spec_index = dead.spec_index;
-      a.kind = fault::FaultKind::DeadLink;
-      a.level = level;
-      a.index = dead.line;
-      a.changed = was_occupied;
-      activity->applied.push_back(a);
-    }
-  }
+  fault::apply_dead_lines_with(
+      injector, route, level, impl, engine, activity, [&](std::size_t line) {
+        const bool was_occupied =
+            !(pk::plane_get(t0, line) && pk::plane_get(t1, line));
+        pk::plane_set(t0, line, true);
+        pk::plane_set(t1, line, true);
+        pk::plane_set(t2, line, false);
+        any_killed = any_killed || was_occupied;
+        return was_occupied;
+      });
   return any_killed;
 }
 

@@ -45,8 +45,9 @@ std::vector<Tag> encode_sequence(std::span<const std::size_t> dests,
 /// the ε-fill instead of the tree's O(n) node sweep. `dests` must be
 /// sorted ascending and unique (MulticastAssignment::destinations
 /// guarantees this). Bit-identical to encode_sequence(TagTree(dests, n));
-/// this is the cold-compile path of initial_lines, which encodes one
-/// sequence per source line of every route.
+/// this is the scalar engine's initial_lines path, which encodes one
+/// sequence per source line of every route, and the packed engine's
+/// capture_levels materializer.
 void encode_sequence_into(std::span<const std::size_t> dests, std::size_t n,
                           std::vector<Tag>& out);
 

@@ -111,20 +111,12 @@ SwitchSetting faulted_setting(SwitchSetting configured, FaultKind kind,
 void apply_dead_lines(const FaultInjector* injector, std::uint64_t route,
                       int level, ImplKind impl, RouteEngine engine,
                       std::vector<LineValue>& lines, FaultActivity* activity) {
-  if (injector == nullptr) return;
-  for (const auto& dead : injector->dead_lines(route, level, impl, engine)) {
-    const bool was_occupied = !lines[dead.line].empty();
-    lines[dead.line] = LineValue{};
-    if (activity != nullptr) {
-      AppliedFault a;
-      a.spec_index = dead.spec_index;
-      a.kind = FaultKind::DeadLink;
-      a.level = level;
-      a.index = dead.line;
-      a.changed = was_occupied;
-      activity->applied.push_back(a);
-    }
-  }
+  apply_dead_lines_with(injector, route, level, impl, engine, activity,
+                        [&lines](std::size_t line) {
+                          const bool was_occupied = !lines[line].empty();
+                          lines[line] = LineValue{};
+                          return was_occupied;
+                        });
 }
 
 void PassSeam::apply_local(Rbn& fabric, PassKind pass) const {

@@ -123,10 +123,32 @@ std::size_t fault_site_local_switch(int stage, std::size_t u,
 SwitchSetting faulted_setting(SwitchSetting configured, FaultKind kind,
                               SwitchSetting stuck);
 
-/// Kill the scheduled dead lines at entry of `level`: each becomes an
-/// empty ε. Shared verbatim by all four drivers (before the level's
-/// packed load / scalar slicing), which keeps dead links trivially
-/// engine-identical.
+/// Kill the scheduled dead lines at entry of `level` in whatever line
+/// representation the caller holds: `kill(line)` empties one line and
+/// returns whether it was occupied. Every driver and the replay path
+/// record their FaultActivity through this one loop, which keeps dead
+/// links trivially engine-identical.
+template <typename KillFn>
+void apply_dead_lines_with(const FaultInjector* injector, std::uint64_t route,
+                           int level, ImplKind impl, RouteEngine engine,
+                           FaultActivity* activity, KillFn&& kill) {
+  if (injector == nullptr) return;
+  for (const auto& dead : injector->dead_lines(route, level, impl, engine)) {
+    const bool was_occupied = kill(dead.line);
+    if (activity != nullptr) {
+      AppliedFault a;
+      a.spec_index = dead.spec_index;
+      a.kind = FaultKind::DeadLink;
+      a.level = level;
+      a.index = dead.line;
+      a.changed = was_occupied;
+      activity->applied.push_back(a);
+    }
+  }
+}
+
+/// apply_dead_lines_with over LineValues: each dead line becomes an empty
+/// ε (the scalar drivers, before the level's slicing).
 void apply_dead_lines(const FaultInjector* injector, std::uint64_t route,
                       int level, ImplKind impl, RouteEngine engine,
                       std::vector<LineValue>& lines, FaultActivity* activity);

@@ -10,13 +10,15 @@
 // which close the gaps the per-pass contracts leave between levels and
 // at delivery.
 //
-// Cost: O(n log n) per route (one sort per level) against the O(n log^2 n)
-// routing work — cheap enough to leave on by default; gated at <= 1.10x
-// route p50 in CI.
+// Cost: O(n log n) per route (one sort per level in the scalar check, one
+// pass and a copy-id bitset per level in the packed one) against the
+// O(n log^2 n) routing work — cheap enough to leave on by default; gated
+// at <= 1.10x route p50 in CI.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -31,6 +33,24 @@ namespace brsmn::fault {
 /// id. Throws FaultDetected naming the level.
 void self_check_level(const std::vector<LineValue>& lines, int level,
                       std::uint64_t route);
+
+/// The plane form of self_check_level for the packed compile, which
+/// carries per-line copy arrays instead of packets (pkern::CopyLines).
+/// Per line: `exit_tags` the Table 1 encoding the line left the level
+/// with, `head_tags` the encoding looked up for the next level from
+/// (source, tag-tree node), `source` the copy's input (kNoSource when
+/// none) and `copy_id` its id. The same four properties: occupied exactly
+/// when a copy is carried; the head tag equals the copy's routing state,
+/// i.e. its source has destinations below the node it entered; the exit
+/// tag is 0 or 1; live copy ids are unique, checked with a bitset over
+/// [1, id_limit) held in `seen`. Throws FaultDetected naming the level.
+void self_check_copies(std::span<const std::uint8_t> exit_tags,
+                       std::span<const std::uint8_t> head_tags,
+                       std::span<const std::uint32_t> source,
+                       std::span<const std::uint64_t> copy_id,
+                       std::uint64_t id_limit,
+                       std::vector<std::uint64_t>& seen, int level,
+                       std::uint64_t route);
 
 /// Typed delivery oracle: `delivered` must equal `expected`. Throws
 /// FaultDetected naming the first mismatching output; the drivers' legacy

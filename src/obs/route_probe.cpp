@@ -14,6 +14,9 @@ RouteProbe RouteProbe::attach(MetricRegistry& registry,
       &registry.histogram(probe.prefix + ".phase.eps_divide_ns");
   probe.quasisort = &registry.histogram(probe.prefix + ".phase.quasisort_ns");
   probe.datapath = &registry.histogram(probe.prefix + ".phase.datapath_ns");
+  probe.advance = &registry.histogram(probe.prefix + ".phase.advance_ns");
+  probe.self_check =
+      &registry.histogram(probe.prefix + ".phase.self_check_ns");
   probe.total = &registry.histogram(probe.prefix + ".phase.total_ns");
   return probe;
 }

@@ -1,16 +1,23 @@
 // Pre-resolved metric handles for the routing engines.
 //
 // Brsmn / FeedbackBrsmn / Bsn time four phases per routed assignment —
-// mirroring the gate-delay composition of core/stats.hpp:
+// mirroring the gate-delay composition of core/stats.hpp — plus the two
+// between-level phases every driver and patch_route run:
 //   <prefix>.phase.scatter_ns    scatter configuration sweeps (Theorem 2)
 //   <prefix>.phase.eps_divide_ns ε-dividing sweeps (Table 6)
 //   <prefix>.phase.quasisort_ns  quasisort configuration sweeps (Lemma 1)
 //   <prefix>.phase.datapath_ns   fabric traversals + final 2x2 delivery
+//   <prefix>.phase.advance_ns    line state between levels: the scalar
+//                                engine's stream advance; the packed
+//                                engine's tag-table build, plane load,
+//                                tag lookup and gather
+//   <prefix>.phase.self_check_ns per-level line-state self-check
 //   <prefix>.phase.total_ns      the whole route() call
 // and mirror RoutingStats into counters (<prefix>.switch_traversals, ...)
-// so concurrent workers aggregate into one registry.
+// so concurrent workers aggregate into one registry. The named phases
+// never overlap, so they sum to at most total_ns.
 //
-// The probe is resolved once per route() (five registry lookups) and then
+// The probe is resolved once per route() (seven registry lookups) and then
 // passed by pointer through the level/BSN machinery, keeping the per-phase
 // cost to a PhaseTimer scope.
 #pragma once
@@ -33,6 +40,8 @@ struct RouteProbe {
   Histogram* eps_divide = nullptr;
   Histogram* quasisort = nullptr;
   Histogram* datapath = nullptr;
+  Histogram* advance = nullptr;
+  Histogram* self_check = nullptr;
   Histogram* total = nullptr;
   /// Event tracer for per-phase spans; set by the engines from
   /// RouteOptions::tracer, independent of the registry (either may be

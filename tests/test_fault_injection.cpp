@@ -4,7 +4,9 @@
 // the single-fabric sweeps to whole-BRSMN routes through the fault
 // seam: every reachable (level, pass, stage, switch) site at n = 16,
 // every dead line, with the scalar and packed engines required to agree
-// on every outcome.
+// on every outcome. The PlaneSelfCheck and PackedN1024 tests cover the
+// packed engine's stream-free per-level check, property by property and
+// under sampled faults at n = 1024.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -19,6 +21,7 @@
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/fault_report.hpp"
+#include "fault/self_check.hpp"
 #include "helpers.hpp"
 
 namespace brsmn {
@@ -509,6 +512,132 @@ TEST(FaultInjectionFullRoute, RandomPlansDifferentialAtN32) {
     if (fb_scalar.delivered.has_value()) {
       EXPECT_EQ(*fb_scalar.delivered, expected);
     }
+  }
+}
+
+// --- plane self-check coverage at n = 1024 ----------------------------------
+//
+// The packed compile carries no per-copy tag streams; between levels it
+// checks its tag planes and copy arrays instead. Sampled dead links and
+// stuck switches on a dense n = 1024 multicast, on both fabrics: every
+// route must either deliver exactly the expected outputs or raise
+// FaultDetected — an armed fault never yields a silent misdelivery, so
+// every fault that changes delivery is detected. A dead link that kills a
+// live copy always changes delivery.
+
+template <typename RouteFn>
+void sweep_packed_faults_n1024(RouteFn&& route) {
+  const std::size_t n = 1024;
+  const int m = 10;
+  Rng rng(test_seed(4242));
+  const MulticastAssignment assignment = random_multicast(n, 1.0, rng);
+  const auto expected = expected_delivery(assignment);
+  std::size_t detected = 0, masked = 0, live_kills = 0;
+  for (int trial = 0; trial < 128; ++trial) {
+    fault::FaultSpec f;
+    if (trial % 2 == 0) {
+      f.kind = fault::FaultKind::DeadLink;
+      f.level = static_cast<int>(rng.uniform(1, m));
+      f.index = rng.uniform(0, n - 1);
+    } else {
+      f.kind = fault::FaultKind::StuckSetting;
+      f.level = static_cast<int>(rng.uniform(1, m - 1));
+      f.pass = rng.uniform(0, 1) ? PassKind::Scatter : PassKind::Quasisort;
+      f.stage = static_cast<int>(rng.uniform(1, m - f.level + 1));
+      f.index = rng.uniform(0, n / 2 - 1);
+      f.stuck = rng.uniform(0, 1) ? SwitchSetting::Cross
+                                  : SwitchSetting::Parallel;
+    }
+    SCOPED_TRACE(fault::describe(f));
+    fault::FaultPlan plan;
+    plan.n = n;
+    plan.faults.push_back(f);
+    const RouteUnderFault out = route(assignment, plan);
+    ASSERT_EQ(out.activity.applied.size(), 1u);
+    const bool changed = out.activity.applied.front().changed;
+    if (f.kind == fault::FaultKind::DeadLink && changed) {
+      ++live_kills;
+      EXPECT_FALSE(out.delivered.has_value())
+          << "a live copy died without detection";
+    }
+    if (out.delivered.has_value()) {
+      ++masked;
+      EXPECT_EQ(*out.delivered, expected) << "silent misdelivery";
+    } else {
+      ++detected;
+      EXPECT_TRUE(changed) << "detection without an applied fault";
+    }
+  }
+  EXPECT_GT(detected, 0u);
+  EXPECT_GT(masked, 0u);
+  EXPECT_GT(live_kills, 0u);
+}
+
+TEST(FaultInjectionPackedN1024, UnrolledFaultsNeverMisdeliver) {
+  sweep_packed_faults_n1024(
+      [](const MulticastAssignment& a, const fault::FaultPlan& plan) {
+        return route_unrolled(a, plan, RouteEngine::Packed);
+      });
+}
+
+TEST(FaultInjectionPackedN1024, FeedbackFaultsNeverMisdeliver) {
+  sweep_packed_faults_n1024(
+      [](const MulticastAssignment& a, const fault::FaultPlan& plan) {
+        return route_feedback(a, plan, RouteEngine::Packed);
+      });
+}
+
+// --- the packed engine's plane self-check, property by property ------------
+
+/// A consistent four-line state after some level: two copies leaving
+/// with exit tags 0 and 1 and live heads, two empty lines (ε0, ε1).
+struct CopyCheckInput {
+  std::vector<std::uint8_t> exit{0b000, 0b001, 0b110, 0b111};
+  std::vector<std::uint8_t> head{0b100, 0b000, 0b110, 0b110};
+  std::vector<std::uint32_t> source{3, 1, kNoSource, kNoSource};
+  std::vector<std::uint64_t> copy_id{5, 2, 0, 0};
+};
+
+std::optional<fault::FaultReport> copy_check_report(const CopyCheckInput& in) {
+  std::vector<std::uint64_t> seen;
+  try {
+    fault::self_check_copies(in.exit, in.head, in.source, in.copy_id,
+                             /*id_limit=*/6, seen, /*level=*/2, /*route=*/7);
+  } catch (const fault::FaultDetected& e) {
+    return e.report();
+  }
+  return std::nullopt;
+}
+
+TEST(PlaneSelfCheck, ConsistentCopiesPass) {
+  EXPECT_FALSE(copy_check_report(CopyCheckInput{}).has_value());
+}
+
+TEST(PlaneSelfCheck, EveryPropertyRaisesAtTheLevel) {
+  const std::vector<std::pair<const char*, void (*)(CopyCheckInput&)>>
+      breaks = {
+          {"occupied line without a copy",
+           [](CopyCheckInput& in) { in.source[0] = kNoSource; }},
+          {"empty line with a copy",
+           [](CopyCheckInput& in) { in.source[2] = 4; }},
+          {"head tag not live", [](CopyCheckInput& in) { in.head[1] = 0b110; }},
+          {"exit tag neither 0 nor 1",
+           [](CopyCheckInput& in) { in.exit[0] = 0b100; }},
+          {"duplicate copy id", [](CopyCheckInput& in) { in.copy_id[1] = 5; }},
+          {"unallocated copy id",
+           [](CopyCheckInput& in) { in.copy_id[1] = 6; }},
+      };
+  for (const auto& [what, corrupt] : breaks) {
+    SCOPED_TRACE(what);
+    CopyCheckInput in;
+    corrupt(in);
+    const auto report = copy_check_report(in);
+    ASSERT_TRUE(report.has_value());
+    EXPECT_EQ(report->n, 4u);
+    EXPECT_EQ(report->route, 7u);
+    EXPECT_EQ(report->at.level, 2);
+    EXPECT_FALSE(report->at.pass.has_value());
+    EXPECT_TRUE(report->at.fabric_settled);
   }
 }
 

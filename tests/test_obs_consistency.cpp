@@ -1,7 +1,8 @@
 // Metrics-vs-model consistency: the numbers the observability layer
 // reports must agree with the analytic gate-delay model and with the
-// engines' own RoutingStats — and survive a JSON export/parse round
-// trip. Property-tested across network sizes n in {4 .. 256}.
+// engines' own RoutingStats, the named phases must fit inside the total
+// on every driver — and survive a JSON export/parse round trip.
+// Property-tested across network sizes n in {4 .. 256}.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include "common/rng.hpp"
 #include "core/brsmn.hpp"
 #include "core/feedback.hpp"
+#include "core/route_plan.hpp"
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -160,6 +162,68 @@ TEST_P(ObsConsistencyTest, FeedbackRegistryMatchesItsOwnStats) {
     EXPECT_EQ(registry.counter("route.fabric_passes").value(),
               result.stats.fabric_passes);
     EXPECT_EQ(registry.histogram("route.phase.total_ns").count(), 1u);
+  }
+}
+
+/// The named phases of `prefix` never overlap, so together they take at
+/// most the total; the between-level phases fire on every driver.
+void expect_phases_within_total(obs::MetricRegistry& registry,
+                                const std::string& prefix) {
+  double named_ns = 0;
+  for (const char* phase : {"scatter", "eps_divide", "quasisort", "datapath",
+                            "advance", "self_check"}) {
+    named_ns +=
+        registry.histogram(prefix + ".phase." + phase + "_ns").snapshot().sum;
+  }
+  const obs::HistogramSnapshot total =
+      registry.histogram(prefix + ".phase.total_ns").snapshot();
+  EXPECT_GT(total.count, 0u) << prefix;
+  EXPECT_LE(named_ns, total.sum) << prefix;
+  EXPECT_GT(registry.histogram(prefix + ".phase.advance_ns").count(), 0u)
+      << prefix;
+  EXPECT_GT(registry.histogram(prefix + ".phase.self_check_ns").count(), 0u)
+      << prefix;
+}
+
+TEST_P(ObsConsistencyTest, NamedPhasesSumWithinTotal) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  const std::size_t n = GetParam();
+  obs::MetricRegistry registry;
+  Brsmn net(n);
+  FeedbackBrsmn fnet(n);
+  Rng rng(test_seed(n * 31 + 9));
+  for (int trial = 0; trial < 3; ++trial) {
+    const auto a = random_multicast(n, 0.8, rng);
+    for (const RouteEngine engine :
+         {RouteEngine::Scalar, RouteEngine::Packed}) {
+      const std::string kind =
+          engine == RouteEngine::Scalar ? "scalar" : "packed";
+      const std::string unrolled = kind + ".unrolled";
+      const std::string feedback = kind + ".feedback";
+      RouteOptions options;
+      options.metrics = &registry;
+      options.engine = engine;
+      options.metrics_prefix = unrolled;
+      net.route(a, options);
+      options.metrics_prefix = feedback;
+      fnet.route(a, options);
+    }
+    // patch_route: a one-member change of a compiled plan.
+    RoutePlan base;
+    planner::compile_route(net, a, {}, base);
+    MulticastAssignment b = a;
+    std::size_t free_out = 0;
+    while (free_out < n && b.output_claimed(free_out)) ++free_out;
+    if (free_out < n) b.connect(0, free_out);
+    RouteOptions options;
+    options.metrics = &registry;
+    options.metrics_prefix = "patch";
+    RoutePlan out;
+    ASSERT_TRUE(planner::patch_route(net, b, base, options, out).patched);
+  }
+  for (const char* prefix : {"scalar.unrolled", "scalar.feedback",
+                             "packed.unrolled", "packed.feedback", "patch"}) {
+    expect_phases_within_total(registry, prefix);
   }
 }
 

@@ -11,7 +11,8 @@
 // Also here: the zero-allocation contract of route_replay_into — after
 // two warmup replays, a steady-state replay performs no heap
 // allocations (counted by overriding global operator new in this test
-// binary).
+// binary) — and the stream-free compile contract: a warm packed compile
+// allocates only for plan capture, nothing per copy.
 #include "core/route_plan.hpp"
 
 #include <gtest/gtest.h>
@@ -348,6 +349,93 @@ TEST(RoutePlanZeroAlloc, SteadyStateFeedbackReplayDoesNotAllocate) {
   net.route_replay_into(plan, ropts, out);
   EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - before, 0u);
   EXPECT_EQ(out.delivered, plan.delivered);
+}
+
+// --- stream-free compile: nothing allocated per copy -----------------------
+
+/// Heap blocks a compiled plan owns, one per non-empty vector: exactly
+/// the allocations plan capture makes.
+std::uint64_t plan_blocks(const RoutePlan& plan) {
+  const auto held = [](const auto& v) -> std::uint64_t {
+    return v.capacity() != 0 ? 1 : 0;
+  };
+  std::uint64_t blocks = held(plan.levels) + held(plan.final_t0) +
+                         held(plan.final_t1) + held(plan.final_t2) +
+                         held(plan.delivered) +
+                         held(plan.broadcasts_per_level);
+  for (const PlanLevel& pl : plan.levels) {
+    blocks += held(pl.entry_t0) + held(pl.entry_t1) + held(pl.entry_t2) +
+              held(pl.scatter_masks) + held(pl.quasisort_masks) +
+              held(pl.scatter_settings) + held(pl.quasisort_settings) +
+              held(pl.events) + held(pl.parent_codes) +
+              held(pl.post_scatter) + held(pl.divided_t2) +
+              held(pl.post_quasisort);
+    for (const auto* masks : {&pl.scatter_masks, &pl.quasisort_masks}) {
+      for (const auto& mk : *masks) blocks += held(mk.su) + held(mk.sl);
+    }
+    for (const auto* rows : {&pl.scatter_settings, &pl.quasisort_settings}) {
+      for (const auto& row : *rows) blocks += held(row);
+    }
+    for (const auto& stage : pl.events) blocks += held(stage);
+  }
+  return blocks;
+}
+
+/// Inputs at the extremes of copy count and fanout: n unicast copies and
+/// no broadcast, one source broadcast to every output (n - 1 broadcast
+/// copies), and a dense random multicast.
+std::vector<MulticastAssignment> fanout_extremes(std::size_t n) {
+  MulticastAssignment identity(n);
+  for (std::size_t i = 0; i < n; ++i) identity.connect(i, i);
+  Rng rng(test_seed(8700));
+  return {identity, full_broadcast(n), random_multicast(n, 1.0, rng)};
+}
+
+template <typename Net>
+void check_compile_allocations() {
+  const std::size_t n = 1024;
+  const auto inputs = fanout_extremes(n);
+  Net net(n);
+  RouteOptions packed;
+  packed.engine = RouteEngine::Packed;
+  for (int warm = 0; warm < 2; ++warm) {  // workspace + capacities
+    for (const auto& a : inputs) {
+      RoutePlan plan;
+      planner::compile_route(net, a, {}, plan);
+      net.route(a, packed);
+    }
+  }
+  std::vector<std::uint64_t> compile_residual;
+  std::vector<std::uint64_t> route_allocs;
+  for (const auto& a : inputs) {
+    RoutePlan plan;
+    std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    const RouteResult cold = planner::compile_route(net, a, {}, plan);
+    const std::uint64_t compile_allocs =
+        g_heap_allocs.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(cold.delivered, expected_delivery(a));
+    compile_residual.push_back(compile_allocs - plan_blocks(plan));
+
+    before = g_heap_allocs.load(std::memory_order_relaxed);
+    const RouteResult routed = net.route(a, packed);
+    route_allocs.push_back(g_heap_allocs.load(std::memory_order_relaxed) -
+                           before);
+    EXPECT_EQ(routed.delivered, expected_delivery(a));
+  }
+  // Identity, one-source broadcast and dense multicast differ by n - 1
+  // copies' worth of fanout; the counts must not.
+  EXPECT_EQ(compile_residual[0], compile_residual[1]);
+  EXPECT_EQ(compile_residual[0], compile_residual[2]);
+  EXPECT_EQ(route_allocs[0], route_allocs[1]);
+  EXPECT_EQ(route_allocs[0], route_allocs[2]);
+}
+
+TEST(CompileAllocations, UnrolledCompileAllocatesOnlyForPlanCapture) {
+  check_compile_allocations<Brsmn>();
+}
+
+TEST(CompileAllocations, FeedbackCompileAllocatesOnlyForPlanCapture) {
+  check_compile_allocations<FeedbackBrsmn>();
 }
 
 }  // namespace
