@@ -5,6 +5,7 @@
 #include "api/plan_cache.hpp"
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
+#include "core/fabric_schedule.hpp"
 #include "core/tag_sequence.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/locate.hpp"
@@ -184,17 +185,12 @@ Brsmn::Brsmn(std::size_t n) : n_(n), m_(log2_exact(n)) {
   }
 }
 
-RouteResult Brsmn::route(const MulticastAssignment& assignment,
-                         const RouteOptions& options) {
-  BRSMN_EXPECTS(assignment.size() == n_);
-  if (options.plan_cache != nullptr && !options.capture_levels) {
-    return api::route_via_cache(*this, assignment, options);
-  }
-  if (options.engine == RouteEngine::Packed) {
-    return packed_route(*this, assignment, options);
-  }
-  obs::RouteProbe probe;
-  obs::FabricHeatmap* heatmap = nullptr;
+namespace sched {
+
+RouteRun::RouteRun(const RouteOptions& options, std::size_t n)
+    : faults(options.faults),
+      activity(options.fault_activity),
+      checking(options.self_check || options.faults != nullptr) {
   if constexpr (obs::kEnabled) {
     if (options.metrics != nullptr) {
       probe = obs::RouteProbe::attach(*options.metrics, options.metrics_prefix);
@@ -203,130 +199,101 @@ RouteResult Brsmn::route(const MulticastAssignment& assignment,
     probe.attach_profiler(options.profiler);
     heatmap = options.heatmap;
   }
-  const obs::RouteProbe* probe_ptr =
-      probe.enabled() || probe.tracing() || probe.profiler != nullptr
-          ? &probe
-          : nullptr;
+  if (options.faults != nullptr) {
+    BRSMN_EXPECTS_MSG(options.faults->size() == n,
+                      "fault plan width must match the network");
+    route_ord = options.faults->begin_route();
+  }
+  if (activity != nullptr) activity->clear();
+}
+
+template <typename Schedule>
+RouteResult scalar_route(const Schedule& sched,
+                         const MulticastAssignment& assignment,
+                         const RouteOptions& options) {
+  constexpr fault::ImplKind impl = Schedule::Level::kImpl;
+  const std::size_t n = sched.size();
+  const int m = sched.levels();
+  const RouteRun run(options, n);
+  const obs::RouteProbe& probe = run.probe;
   obs::PhaseTimer total_timer(probe.total);
   obs::PerfScope total_perf(probe.profiler, probe.perf_total);
-  obs::TraceSpan route_span(probe.tracer, "brsmn.route");
+  obs::TraceSpan route_span(probe.tracer, Schedule::kRouteSpan);
 
   RouteResult result;
-  result.delivered.assign(n_, std::nullopt);
+  result.delivered.assign(n, std::nullopt);
   if (options.explain) {
     result.explanation.emplace();
-    result.explanation->n = n_;
+    result.explanation->n = n;
   }
-
-  const bool checking = options.self_check || options.faults != nullptr;
-  if (options.faults != nullptr) {
-    BRSMN_EXPECTS_MSG(options.faults->size() == n_,
-                      "fault plan width must match the network");
-  }
-  const std::uint64_t route_ord =
-      options.faults != nullptr ? options.faults->begin_route() : 0;
-  if (options.fault_activity != nullptr) options.fault_activity->clear();
+  RouteExplanation* explanation =
+      options.explain ? &*result.explanation : nullptr;
 
   try {
     std::uint64_t next_copy_id = 1;
     std::vector<LineValue> lines = initial_lines(assignment, next_copy_id);
-
-    for (int k = 1; k <= m_ - 1; ++k) {
+    // The line state entering level k: captured before its dead lines
+    // strike.
+    const auto enter_level = [&](int k) {
       if (options.capture_levels) result.level_inputs.push_back(lines);
-      fault::apply_dead_lines(options.faults, route_ord, k,
-                              fault::ImplKind::Unrolled, RouteEngine::Scalar,
-                              lines, options.fault_activity);
+      fault::apply_dead_lines(run.faults, run.route_ord, k, impl,
+                              RouteEngine::Scalar, lines, run.activity);
+    };
+
+    for (int k = 1; k <= m - 1; ++k) {
+      enter_level(k);
       const std::size_t splits_before = result.stats.broadcast_ops;
-      const std::size_t bsn_size = n_ >> (k - 1);
       char level_label[24];
       std::snprintf(level_label, sizeof level_label, "level.%d", k);
       obs::TraceSpan level_span(probe.tracer, level_label);
-      PassExplanation* scatter_pass = nullptr;
-      PassExplanation* quasi_pass = nullptr;
-      if (options.explain) {
-        auto& passes = result.explanation->passes;
-        passes.push_back(
-            make_pass(k, PassKind::Scatter, n_, log2_exact(bsn_size)));
-        passes.push_back(
-            make_pass(k, PassKind::Quasisort, n_, log2_exact(bsn_size)));
-        scatter_pass = &passes[passes.size() - 2];
-        quasi_pass = &passes.back();
-      }
-      fault::PassSeam seam;
-      seam.injector = options.faults;
-      seam.activity = options.fault_activity;
-      seam.route = route_ord;
-      seam.net_width = n_;
-      seam.level = k;
-      seam.impl = fault::ImplKind::Unrolled;
-      seam.engine = RouteEngine::Scalar;
-      auto& level = levels_[static_cast<std::size_t>(k - 1)];
-      for (std::size_t b = 0; b < level.size(); ++b) {
-        std::vector<LineValue> slice(
-            std::make_move_iterator(lines.begin() +
-                                    static_cast<std::ptrdiff_t>(b * bsn_size)),
-            std::make_move_iterator(lines.begin() + static_cast<std::ptrdiff_t>(
-                                                        (b + 1) * bsn_size)));
-        const BsnExplain bsn_explain{{scatter_pass, b * bsn_size},
-                                     {quasi_pass, b * bsn_size}};
-        seam.line_base = b * bsn_size;
-        const BsnHeat heat{heatmap, k, b * bsn_size};
-        Bsn::Result r = level[b].route(
-            std::move(slice), next_copy_id, &result.stats, probe_ptr,
-            options.explain ? &bsn_explain : nullptr,
-            checking ? &seam : nullptr, heatmap != nullptr ? &heat : nullptr);
-        std::move(r.outputs.begin(), r.outputs.end(),
-                  lines.begin() + static_cast<std::ptrdiff_t>(b * bsn_size));
-      }
-      // All BSNs of one level route concurrently: charge the level's delay
-      // once, not per block.
-      result.stats.gate_delay += bsn_routing_delay(log2_exact(bsn_size));
+      route_level(sched.level(k), lines, next_copy_id, result.stats, run,
+                  explanation);
       result.broadcasts_per_level.push_back(result.stats.broadcast_ops -
                                             splits_before);
-      fault::guard(checking, n_, route_ord, k, std::nullopt, true, [&] {
+      fault::guard(run.checking, n, run.route_ord, k, std::nullopt, true, [&] {
         {
           obs::PhaseTimer advance_timer(probe.advance);
           advance_streams(lines);
         }
-        if (checking) {
+        if (run.checking) {
           obs::PhaseTimer check_timer(probe.self_check);
-          fault::self_check_level(lines, k, route_ord);
+          fault::self_check_level(lines, k, run.route_ord);
         }
       });
     }
 
-    if (options.capture_levels) result.level_inputs.push_back(lines);
-    fault::apply_dead_lines(options.faults, route_ord, m_,
-                            fault::ImplKind::Unrolled, RouteEngine::Scalar,
-                            lines, options.fault_activity);
+    enter_level(m);
     const std::size_t splits_before_final = result.stats.broadcast_ops;
     {
       obs::PhaseTimer final_timer(probe.datapath);
       obs::PerfScope final_perf(probe.profiler, probe.perf_datapath);
       obs::TraceSpan final_span(probe.tracer, "level.final");
       ExplainSink final_sink;
-      if (options.explain) {
-        result.explanation->passes.push_back(
-            make_pass(m_, PassKind::Final, n_, 1));
-        final_sink.pass = &result.explanation->passes.back();
+      if (explanation != nullptr) {
+        explanation->passes.push_back(make_pass(m, PassKind::Final, n, 1));
+        final_sink.pass = &explanation->passes.back();
       }
-      fault::guard(checking, n_, route_ord, m_, PassKind::Final, true, [&] {
-        deliver_final_level(lines, result.delivered, &result.stats,
-                            options.explain ? &final_sink : nullptr, heatmap);
-      });
+      fault::guard(run.checking, n, run.route_ord, m, PassKind::Final, true,
+                   [&] {
+                     deliver_final_level(
+                         lines, result.delivered, &result.stats,
+                         explanation != nullptr ? &final_sink : nullptr,
+                         run.heatmap);
+                   });
     }
     result.broadcasts_per_level.push_back(result.stats.broadcast_ops -
                                           splits_before_final);
+    sched.charge_final(result.stats);
 
     const auto expected = expected_delivery(assignment);
-    if (checking) {
-      fault::self_check_delivery(result.delivered, expected, m_, route_ord);
+    if (run.checking) {
+      fault::self_check_delivery(result.delivered, expected, m, run.route_ord);
     }
     BRSMN_ENSURES_MSG(result.delivered == expected,
                       "BRSMN routed assignment incorrectly");
   } catch (const fault::FaultDetected& e) {
-    if (options.explain && result.explanation.has_value()) {
-      fault::rethrow_localized(*this, e, *result.explanation);
+    if (explanation != nullptr) {
+      fault::rethrow_localized(sched, e, *explanation);
     }
     throw;
   }
@@ -336,6 +303,27 @@ RouteResult Brsmn::route(const MulticastAssignment& assignment,
     if (probe.enabled()) probe.record_stats(result.stats);
   }
   return result;
+}
+
+template RouteResult scalar_route(const UnrolledSchedule&,
+                                  const MulticastAssignment&,
+                                  const RouteOptions&);
+template RouteResult scalar_route(const FeedbackSchedule&,
+                                  const MulticastAssignment&,
+                                  const RouteOptions&);
+
+}  // namespace sched
+
+RouteResult Brsmn::route(const MulticastAssignment& assignment,
+                         const RouteOptions& options) {
+  BRSMN_EXPECTS(assignment.size() == n_);
+  if (options.plan_cache != nullptr && !options.capture_levels) {
+    return api::route_via_cache(*this, assignment, options);
+  }
+  if (options.engine == RouteEngine::Packed) {
+    return packed_route(*this, assignment, options);
+  }
+  return sched::scalar_route(schedule(), assignment, options);
 }
 
 std::size_t Brsmn::switch_count() const {

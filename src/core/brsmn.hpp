@@ -45,6 +45,10 @@ struct ReplayWorkspace;
 struct CompileWorkspace;
 }  // namespace brsmn::pkern
 
+namespace brsmn::sched {
+class UnrolledSchedule;
+}  // namespace brsmn::sched
+
 namespace brsmn {
 
 struct RoutePlan;
@@ -129,12 +133,13 @@ struct RouteOptions {
   api::PlanCache* plan_cache = nullptr;
   /// Fabric utilization heatmap (obs/fabric_heatmap.hpp). When set, every
   /// stage entry of every pass accumulates per-switch activity/occupancy
-  /// counts into the map — bit-identical across all four drivers and for
-  /// plan replays of the same assignments. The map is single-owner (one
-  /// routing thread); concurrent routers give each worker its own map and
-  /// merge(). On an incremental patch only the recompiled levels route,
-  /// so only they accumulate. Null (the default) keeps the datapaths
-  /// unobserved; BRSMN_OBS_DISABLED builds ignore it entirely.
+  /// counts into the map — bit-identical across both engines and fabric
+  /// schedules, and for plan replays of the same assignments. The map is
+  /// single-owner (one routing thread); concurrent routers give each
+  /// worker its own map and merge(). On an incremental patch only the
+  /// recompiled levels route, so only they accumulate. Null (the
+  /// default) keeps the datapaths unobserved; BRSMN_OBS_DISABLED builds
+  /// ignore it entirely.
   obs::FabricHeatmap* heatmap = nullptr;
   /// Hardware perf-counter phase profiler (obs/perf_counters.hpp): when
   /// set (and available), the engines accumulate cycles / instructions /
@@ -263,6 +268,10 @@ class Brsmn {
       Brsmn& net, const MulticastAssignment& assignment, const RoutePlan& base,
       const RouteOptions& options, RoutePlan& out,
       const planner::PatchConfig& config);
+
+  /// The unrolled fabric schedule over levels_ (core/fabric_schedule.hpp):
+  /// every engine's level driver reaches the fabrics through it.
+  sched::UnrolledSchedule schedule();
 
   std::size_t n_;
   int m_;

@@ -9,41 +9,14 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
-#include "core/explain.hpp"
 #include "core/line_value.hpp"
 #include "core/rbn.hpp"
 #include "core/stats.hpp"
 
-namespace brsmn::obs {
-struct RouteProbe;
-class FabricHeatmap;
-}  // namespace brsmn::obs
-
-namespace brsmn::fault {
-struct DetectPoint;
-struct PassSeam;
-}  // namespace brsmn::fault
-
 namespace brsmn {
-
-/// Provenance sinks for one Bsn::route call: the scatter pass and the
-/// quasisort pass record into separate PassExplanations.
-struct BsnExplain {
-  ExplainSink scatter;
-  ExplainSink quasisort;
-};
-
-/// Heatmap seam for one Bsn::route call: the utilization map plus this
-/// BSN's level and the network line its input 0 sits on (the scalar
-/// unrolled driver routes each block separately; partial block records
-/// sum to the full stage plane — see obs/fabric_heatmap.hpp).
-struct BsnHeat {
-  obs::FabricHeatmap* map = nullptr;
-  int level = 0;
-  std::size_t line_offset = 0;
-};
 
 /// Tag census of a line vector (inputs or outputs of a BSN).
 struct TagCounts {
@@ -53,7 +26,7 @@ struct TagCounts {
   std::size_t epses = 0;  ///< ε, ε0 and ε1 combined
 };
 
-TagCounts count_tags(const std::vector<LineValue>& lines);
+TagCounts count_tags(std::span<const LineValue> lines);
 
 class Bsn {
  public:
@@ -67,48 +40,30 @@ class Bsn {
     std::vector<LineValue> outputs;    ///< after the quasisorting RBN
   };
 
-  /// Route one tag vector through the BSN. `next_copy_id` is the packet
-  /// copy-id allocator, advanced for every broadcast duplication.
+  /// Route one tag vector through the BSN: the one-block case of the
+  /// unrolled network's level body (core/fabric_schedule.hpp), which
+  /// checks the BSN contracts as it goes. `next_copy_id` is the packet
+  /// copy-id allocator, advanced for every broadcast duplication; `stats`
+  /// (optional) also receives the BSN's routing delay.
   ///
   /// Preconditions: inputs.size() == n; tags in {0,1,α,ε}; occupied lines
   /// carry a packet whose stream front equals the line tag; Eqs. (1)-(2):
   /// n0 + nα <= n/2 and n1 + nα <= n/2.
-  ///
-  /// `probe` (optional) receives per-phase wall-clock timings — the
-  /// scatter/ε-divide/quasisort configuration sweeps and the two fabric
-  /// traversals — and, when it carries a tracer, per-phase trace spans.
-  /// `explain` (optional) records the switch decisions of both passes.
-  /// `seam` (optional) activates the fault-injection/self-check seam: the
-  /// seam's armed faults are installed into each fabric after its
-  /// configuration pass, and any ContractViolation raised by the BSN's
-  /// own invariants is rethrown as fault::FaultDetected carrying the
-  /// (level, pass, settled) detection point.
-  /// `heat` (optional) accumulates per-switch activity at every stage
-  /// entry of both passes into a fabric heatmap.
   Result route(std::vector<LineValue> inputs, std::uint64_t& next_copy_id,
-               RoutingStats* stats = nullptr,
-               const obs::RouteProbe* probe = nullptr,
-               const BsnExplain* explain = nullptr,
-               const fault::PassSeam* seam = nullptr,
-               const BsnHeat* heat = nullptr);
+               RoutingStats* stats = nullptr);
 
   /// The two fabrics, exposed for inspection after route() (their switch
   /// settings are those of the last routed assignment).
   const Rbn& scatter_fabric() const noexcept { return scatter_; }
   const Rbn& quasisort_fabric() const noexcept { return quasisort_; }
 
-  /// Mutable fabric access for the packed engine, which computes settings
-  /// on bitmasks and installs them here so inspection via the const
+  /// Mutable fabric access for the fabric schedule, through which both
+  /// engines install their settings here so inspection via the const
   /// accessors is engine-independent.
   Rbn& mutable_scatter_fabric() noexcept { return scatter_; }
   Rbn& mutable_quasisort_fabric() noexcept { return quasisort_; }
 
  private:
-  Result route_impl(std::vector<LineValue> inputs, std::uint64_t& next_copy_id,
-                    RoutingStats* stats, const obs::RouteProbe* probe,
-                    const BsnExplain* explain, const fault::PassSeam* seam,
-                    const BsnHeat* heat, fault::DetectPoint* progress);
-
   Rbn scatter_;
   Rbn quasisort_;
 };

@@ -17,6 +17,10 @@
 #include "core/brsmn.hpp"
 #include "core/rbn.hpp"
 
+namespace brsmn::sched {
+class FeedbackSchedule;
+}  // namespace brsmn::sched
+
 namespace brsmn {
 
 class FeedbackBrsmn;
@@ -87,6 +91,9 @@ class FeedbackBrsmn {
       FeedbackBrsmn& net, const MulticastAssignment& assignment,
       const RoutePlan& base, const RouteOptions& options, RoutePlan& out,
       const planner::PatchConfig& config);
+
+  /// The feedback fabric schedule over fabric_ (core/fabric_schedule.hpp).
+  sched::FeedbackSchedule schedule();
 
   Rbn fabric_;
   /// Lazily created by route_replay (see Brsmn::replay_ws_).

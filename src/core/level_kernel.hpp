@@ -195,7 +195,7 @@ struct CopyLines {
 /// per level) plus every per-level buffer the configuration sweeps need —
 /// the SoA tag censuses, the ε0 selection plane, the scatter type tree
 /// (flat, level j at offset 2n - n/2^(j-1)), the backward-sweep run
-/// starts, the per-block entry tallies — and the stream-free line state:
+/// starts — and the stream-free line state:
 /// the route's tag table, the double-buffered copy arrays, and the next
 /// level's staged tag encodings. First route allocates once; warm
 /// compiles and patches reuse everything.
@@ -208,10 +208,6 @@ struct CompileWorkspace {
   std::vector<std::uint8_t> type;  ///< flat scatter type tree (<= 2n)
   std::vector<std::size_t> start;
   std::vector<std::size_t> next;
-  std::vector<std::size_t> in_zeros;
-  std::vector<std::size_t> in_ones;
-  std::vector<std::size_t> in_alphas;
-  std::vector<std::size_t> in_epses;
   std::vector<BcastEvent*> order;  ///< finalize_events' allocation order
   TagTable table;
   CopyLines copies;  ///< copy state entering the current level

@@ -11,6 +11,7 @@
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
 #include "core/brsmn.hpp"
+#include "core/fabric_schedule.hpp"
 #include "core/feedback.hpp"
 #include "core/level_kernel.hpp"
 #include "core/merge_lemmas.hpp"
@@ -969,22 +970,21 @@ void advance_copies(CompileWorkspace& ws) {
 /// End of switch level k: advance the copies to level k + 1 and, under
 /// the self-check, check the planes and copy arrays — one detection
 /// point between the level's passes and the next level, as in the scalar
-/// drivers.
+/// driver.
 void finish_level(CompileWorkspace& ws, int k, std::uint64_t next_copy_id,
-                  bool checking, std::uint64_t route_ord,
-                  obs::RouteProbe& probe) {
+                  const sched::RouteRun& run) {
   const std::size_t n = ws.kx.n;
-  fault::guard(checking, n, route_ord, k, std::nullopt, true, [&] {
+  fault::guard(run.checking, n, run.route_ord, k, std::nullopt, true, [&] {
     {
-      obs::PhaseTimer advance_timer(probe.advance);
+      obs::PhaseTimer advance_timer(run.probe.advance);
       advance_copies(ws);
     }
-    if (checking) {
-      obs::PhaseTimer check_timer(probe.self_check);
+    if (run.checking) {
+      obs::PhaseTimer check_timer(run.probe.self_check);
       fault::self_check_copies(
           std::span<const std::uint8_t>(ws.kx.tag_bytes.data(), n),
           std::span<const std::uint8_t>(ws.head.data(), n), ws.copies.source,
-          ws.copies.copy_id, next_copy_id, ws.seen_ids, k, route_ord);
+          ws.copies.copy_id, next_copy_id, ws.seen_ids, k, run.route_ord);
     }
   });
 }
@@ -1020,17 +1020,17 @@ std::vector<LineValue> materialize_lines(const CompileWorkspace& ws,
 
 /// The line state entering level `k` of a cold route: captured for
 /// RouteOptions::capture_levels (before dead lines strike, as the scalar
-/// drivers capture it), then the level's scheduled dead lines killed in
+/// driver captures it), then the level's scheduled dead lines killed in
 /// the copy arrays and the staged heads.
 void enter_level(CompileWorkspace& ws, const MulticastAssignment& a, int k,
                  fault::ImplKind impl, const RouteOptions& options,
-                 std::uint64_t route_ord, RouteResult& result) {
+                 const sched::RouteRun& run, RouteResult& result) {
   if (options.capture_levels) {
     result.level_inputs.push_back(materialize_lines(ws, a, k));
   }
   fault::apply_dead_lines_with(
-      options.faults, route_ord, k, impl, RouteEngine::Packed,
-      options.fault_activity, [&ws](std::size_t line) {
+      run.faults, run.route_ord, k, impl, RouteEngine::Packed, run.activity,
+      [&ws](std::size_t line) {
         const bool was_occupied = ws.copies.source[line] != kNoSource;
         ws.copies.source[line] = kNoSource;
         ws.head[line] = kEpsEncoding;
@@ -1041,32 +1041,22 @@ void enter_level(CompileWorkspace& ws, const MulticastAssignment& a, int k,
 /// Configure the workspace kernel for switch level `k` (`stages` deep) and
 /// load its planes from the staged heads.
 void load_level(CompileWorkspace& ws, int k, int stages,
-                obs::RouteProbe& probe) {
+                const obs::RouteProbe& probe) {
   obs::PhaseTimer load_timer(probe.advance);
   ws.kx.begin_level(stages);
   ws.kx.heat_level = k;
   load_lines(ws.kx, ws.head);
 }
 
-/// Pack the tag planes of the line state entering the final 2x2-switch
-/// level into the plan, for replay-time dead-line screening.
-void capture_final_planes(const LevelKernel& kx, RoutePlan& plan) {
-  plan.final_t0.assign(kx.tag_plane(0).begin(), kx.tag_plane(0).end());
-  plan.final_t1.assign(kx.tag_plane(1).begin(), kx.tag_plane(1).end());
-  plan.final_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
-}
-
-/// The final 2x2 delivery level, shared by both drivers and the patch
+/// The final 2x2 delivery level, shared by the compile and the patch
 /// walk: the heads entering level m are packed into the tag planes (the
 /// plan's final checkpoint and the heatmap read them there) and the
 /// copies are delivered from the copy arrays.
 void deliver_final_packed(CompileWorkspace& ws, int m, RoutePlan* plan,
-                          RouteResult& result, const RouteOptions& options,
-                          obs::RouteProbe& probe, bool checking,
-                          std::uint64_t route_ord,
-                          obs::FabricHeatmap* heatmap) {
+                          RouteResult& result, const sched::RouteRun& run) {
   LevelKernel& kx = ws.kx;
   const std::size_t n = kx.n;
+  const obs::RouteProbe& probe = run.probe;
   {
     obs::PhaseTimer load_timer(probe.advance);
     kx.ops->tag_pack(ws.head.data(), kx.tag_plane(0).data(),
@@ -1076,37 +1066,52 @@ void deliver_final_packed(CompileWorkspace& ws, int m, RoutePlan* plan,
       ws.final_tags[i] = collapse_eps(decode(ws.head[i]));
     }
   }
-  if (plan != nullptr) capture_final_planes(kx, *plan);
+  if (plan != nullptr) {
+    plan->final_t0.assign(kx.tag_plane(0).begin(), kx.tag_plane(0).end());
+    plan->final_t1.assign(kx.tag_plane(1).begin(), kx.tag_plane(1).end());
+    plan->final_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
+  }
   const std::size_t splits_before_final = result.stats.broadcast_ops;
   {
     obs::PhaseTimer final_timer(probe.datapath);
     obs::PerfScope final_perf(probe.profiler, probe.perf_datapath);
     obs::TraceSpan final_span(probe.tracer, "level.final");
     ExplainSink final_sink;
-    if (options.explain) {
+    if (result.explanation.has_value()) {
       result.explanation->passes.push_back(make_pass(m, PassKind::Final, n, 1));
       final_sink.pass = &result.explanation->passes.back();
     }
-    fault::guard(checking, n, route_ord, m, PassKind::Final, true, [&] {
-      if (heatmap != nullptr) {
-        heatmap->record_final_tags(kx.tag_plane(0), kx.tag_plane(1));
+    fault::guard(run.checking, n, run.route_ord, m, PassKind::Final, true, [&] {
+      if (run.heatmap != nullptr) {
+        run.heatmap->record_final_tags(kx.tag_plane(0), kx.tag_plane(1));
       }
       deliver_final_level(ws.final_tags, ws.copies.source, result.delivered,
                           &result.stats,
-                          options.explain ? &final_sink : nullptr);
+                          final_sink.pass != nullptr ? &final_sink : nullptr);
     });
   }
   result.broadcasts_per_level.push_back(result.stats.broadcast_ops -
                                         splits_before_final);
 }
 
-/// Copy the cold route's outputs into the plan once the route has fully
-/// succeeded (called after the postcondition checks).
-void capture_result(const RouteResult& result, RoutePlan& plan) {
-  plan.delivered = result.delivered;
-  plan.stats = result.stats;
-  plan.broadcasts_per_level = result.broadcasts_per_level;
-  plan.explanation = result.explanation;
+/// The route's closing checks, shared by the compile and the patch walk:
+/// the typed delivery oracle under the self-check, then the plain
+/// postcondition. On success the outputs are copied into `plan`.
+void finish_route(const MulticastAssignment& assignment, int m,
+                  const sched::RouteRun& run, const RouteResult& result,
+                  RoutePlan* plan) {
+  const auto expected = expected_delivery(assignment);
+  if (run.checking) {
+    fault::self_check_delivery(result.delivered, expected, m, run.route_ord);
+  }
+  BRSMN_ENSURES_MSG(result.delivered == expected,
+                    "BRSMN routed assignment incorrectly");
+  if (plan != nullptr) {
+    plan->delivered = result.delivered;
+    plan->stats = result.stats;
+    plan->broadcasts_per_level = result.broadcasts_per_level;
+    plan->explanation = result.explanation;
+  }
 }
 
 /// One level's stats contribution: after - before, fieldwise (RoutingStats
@@ -1140,23 +1145,38 @@ bool entry_planes_match(LevelKernel& kx, const PlanLevel& old) {
                     old.entry_t2.end());
 }
 
-/// The body of one unrolled switch level — scatter pass, quasisort pass,
-/// gather — exactly as packed_route's level loop runs it. Shared with
-/// planner::patch_route so a recompiled level of a patched plan goes
-/// through the identical code path as a cold compile. The caller owns the
-/// kernel load (load_lines) and, when compiling a plan, the PlanLevel's
+/// Open the plan's next level (`stages` deep), capturing the entry tag
+/// planes now loaded in the kernel.
+PlanLevel& open_plan_level(RoutePlan& plan, const LevelKernel& kx,
+                           int stages) {
+  PlanLevel& pl = plan.levels.emplace_back();
+  pl.stages = stages;
+  pl.entry_t0.assign(kx.tag_plane(0).begin(), kx.tag_plane(0).end());
+  pl.entry_t1.assign(kx.tag_plane(1).begin(), kx.tag_plane(1).end());
+  pl.entry_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
+  return pl;
+}
+
+/// The body of one switch level — scatter pass, quasisort pass, gather —
+/// over either fabric schedule, shared by the cold compile and the patch
+/// walk's recompiled levels. Both schedules run the same per-pass
+/// contracts: Eq. (2) at entry, Eq. (3) at every BSN root, Eq. (4) after
+/// scatter and the half-split after quasisort. The caller owns the kernel
+/// load (load_level) and, when compiling a plan, the PlanLevel's
 /// entry-plane capture.
-void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
-                            CompileWorkspace& ws,
-                            std::uint64_t& next_copy_id, PlanLevel* pl,
-                            RouteResult& result, const RouteOptions& options,
-                            obs::RouteProbe& probe, bool checking,
-                            std::uint64_t route_ord) {
+template <typename Level>
+void compile_level(const Level& lv, CompileWorkspace& ws,
+                   std::uint64_t& next_copy_id, PlanLevel* pl,
+                   RouteResult& result, const sched::RouteRun& run) {
   LevelKernel& kx = ws.kx;
-  const RoutingStats entry_stats = result.stats;
-  const std::size_t splits_before = result.stats.broadcast_ops;
+  const std::size_t n = kx.n;
+  const int k = lv.level();
   const int S = kx.stages;
   const std::size_t bsn_size = std::size_t{1} << S;
+  const obs::RouteProbe& probe = run.probe;
+  const sched::SpanNames& names = Level::kSpans;
+  const RoutingStats entry_stats = result.stats;
+  const std::size_t splits_before = result.stats.broadcast_ops;
   if (pl != nullptr) {
     // The configure callbacks partition every stage's n/2 switches, so
     // these defaults never survive — the rows exist so each callback run
@@ -1171,75 +1191,66 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
   char level_label[24];
   std::snprintf(level_label, sizeof level_label, "level.%d", k);
   obs::TraceSpan level_span(probe.tracer, level_label);
-  PassExplanation* scatter_pass = nullptr;
-  PassExplanation* quasi_pass = nullptr;
-  if (options.explain) {
+  ExplainSink scatter_sink;
+  ExplainSink quasi_sink;
+  if (result.explanation.has_value()) {
     auto& passes = result.explanation->passes;
     passes.push_back(make_pass(k, PassKind::Scatter, n, S));
     passes.push_back(make_pass(k, PassKind::Quasisort, n, S));
-    scatter_pass = &passes[passes.size() - 2];
-    quasi_pass = &passes.back();
+    scatter_sink.pass = &passes[passes.size() - 2];
+    quasi_sink.pass = &passes.back();
   }
-  const ExplainSink scatter_sink{scatter_pass, 0};
-  const ExplainSink quasi_sink{quasi_pass, 0};
-  fault::PassSeam seam;
-  seam.injector = options.faults;
-  seam.activity = options.fault_activity;
-  seam.route = route_ord;
-  seam.net_width = n;
-  seam.level = k;
-  seam.impl = fault::ImplKind::Unrolled;
-  seam.engine = RouteEngine::Packed;
+  const fault::PassSeam seam = run.seam(k, Level::kImpl, RouteEngine::Packed);
+  // Each configured run goes to the schedule's fabric and, when compiling
+  // a plan, into the pass's level-wide stage row.
+  const auto installer = [&lv, pl](PassKind pass) {
+    std::vector<std::vector<SwitchSetting>>* rows =
+        pl == nullptr ? nullptr
+        : pass == PassKind::Scatter ? &pl->scatter_settings
+                                    : &pl->quasisort_settings;
+    return [&lv, pass, rows](int j, std::size_t g, std::size_t first,
+                             std::size_t count, SwitchSetting s) {
+      lv.fill_run(pass, j, g, first, count, s);
+      if (rows != nullptr && count != 0) {
+        std::fill_n((*rows)[static_cast<std::size_t>(j - 1)].begin() +
+                        static_cast<std::ptrdiff_t>((g << (j - 1)) + first),
+                    static_cast<std::ptrdiff_t>(count), s);
+      }
+    };
+  };
 
-  if (scatter_pass != nullptr) {
-    scatter_sink.record_input_tags(materialize_tags(kx, /*collapse=*/true));
-  }
-
+  // The scatter-entry census stays intact through the pass, so Eq. (4)
+  // compares the post-scatter census against it block by block.
   pk::TagCensus& census = ws.census;
-  std::vector<std::size_t>& in_zeros = ws.in_zeros;
-  std::vector<std::size_t>& in_ones = ws.in_ones;
-  std::vector<std::size_t>& in_alphas = ws.in_alphas;
-  std::vector<std::size_t>& in_epses = ws.in_epses;
-  in_zeros.resize(n >> S);
-  in_ones.resize(n >> S);
-  in_alphas.resize(n >> S);
-  in_epses.resize(n >> S);
+  pk::TagCensus& mid = ws.mid;
 
   // Pass 1: scatter — eliminate every alpha (paper Theorem 2).
-  fault::guard(checking, n, route_ord, k, PassKind::Scatter, false, [&] {
+  fault::guard(run.checking, n, run.route_ord, k, PassKind::Scatter, false,
+               [&] {
+    lv.begin_pass(PassKind::Scatter);
+    if (scatter_sink.pass != nullptr) {
+      scatter_sink.record_input_tags(materialize_tags(kx, /*collapse=*/true));
+    }
     build_census(census, kx);
-
-    // The scalar Bsn's entry contracts, per BSN block in block order.
+    // The BSN entry contracts, per block in block order.
     for (std::size_t bb = 0; bb < (n >> S); ++bb) {
-      in_alphas[bb] = census.count_alpha(S, bb);
-      in_epses[bb] = census.count_eps(S, bb);
-      in_ones[bb] = census.count_ones(S, bb);
-      in_zeros[bb] = bsn_size - in_alphas[bb] - in_epses[bb] - in_ones[bb];
-      BRSMN_EXPECTS_MSG(in_zeros[bb] + in_alphas[bb] <= bsn_size / 2,
+      const std::size_t alphas = census.count_alpha(S, bb);
+      const std::size_t ones = census.count_ones(S, bb);
+      const std::size_t zeros =
+          bsn_size - alphas - census.count_eps(S, bb) - ones;
+      BRSMN_EXPECTS_MSG(zeros + alphas <= bsn_size / 2,
                         "BSN input violates n0 + n_alpha <= n/2 (Eq. 2)");
-      BRSMN_EXPECTS_MSG(in_ones[bb] + in_alphas[bb] <= bsn_size / 2,
+      BRSMN_EXPECTS_MSG(ones + alphas <= bsn_size / 2,
                         "BSN input violates n1 + n_alpha <= n/2 (Eq. 2)");
     }
 
     obs::PhaseTimer scatter_timer(probe.scatter);
     obs::PerfScope scatter_perf(probe.profiler, probe.perf_scatter);
-    obs::TraceSpan scatter_span(probe.tracer, "bsn.scatter.config");
+    obs::TraceSpan scatter_span(probe.tracer, names.scatter_config);
     const std::vector<ScatterNodeValue> roots = configure_scatter_packed(
         ws, census, &result.stats,
-        scatter_pass != nullptr ? &scatter_sink : nullptr,
-        [&](int j, std::size_t g, std::size_t first, std::size_t count,
-            SwitchSetting s) {
-          const std::size_t bb = g >> (S - j);
-          const std::size_t lb = g & ((std::size_t{1} << (S - j)) - 1);
-          level[bb].mutable_scatter_fabric().fill_block_run(j, lb, first,
-                                                            count, s);
-          if (pl != nullptr && count != 0) {
-            auto& row = pl->scatter_settings[static_cast<std::size_t>(j - 1)];
-            std::fill_n(row.begin() +
-                            static_cast<std::ptrdiff_t>((g << (j - 1)) + first),
-                        static_cast<std::ptrdiff_t>(count), s);
-          }
-        });
+        scatter_sink.pass != nullptr ? &scatter_sink : nullptr,
+        installer(PassKind::Scatter));
     scatter_span.end();
     scatter_perf.stop();
     scatter_timer.stop();
@@ -1249,32 +1260,31 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
     }
   });
   if (pl != nullptr) capture_stage_masks(kx, pl->scatter_masks);
-  seam.apply_unrolled_packed(level, PassKind::Scatter, kx.masks);
+  seam.apply(lv, PassKind::Scatter, &kx.masks);
 
-  pk::TagCensus& mid = ws.mid;
-  fault::guard(checking, n, route_ord, k, PassKind::Scatter, true, [&] {
-    finalize_events(ws, /*bsn_block_major=*/true, next_copy_id,
+  fault::guard(run.checking, n, run.route_ord, k, PassKind::Scatter, true,
+               [&] {
+    finalize_events(ws, Level::kBlockMajorEvents, next_copy_id,
                     &result.stats);
     obs::PhaseTimer scatter_datapath(probe.datapath);
-    obs::TraceSpan scatter_data_span(probe.tracer, "bsn.scatter.datapath");
+    obs::TraceSpan scatter_data_span(probe.tracer, names.scatter_datapath);
     run_scatter_datapath(kx);
     scatter_data_span.end();
     scatter_datapath.stop();
-    result.stats.switch_traversals += (n / 2) * static_cast<std::size_t>(S);
+    result.stats.switch_traversals +=
+        (n / 2) * static_cast<std::size_t>(lv.fabric_stages());
 
     build_census(mid, kx);
+    // Eq. (4); zeros follow, as every census block sums to bsn_size.
     for (std::size_t bb = 0; bb < (n >> S); ++bb) {
-      const std::size_t mid_alphas = mid.count_alpha(S, bb);
-      const std::size_t mid_epses = mid.count_eps(S, bb);
-      const std::size_t mid_ones = mid.count_ones(S, bb);
-      const std::size_t mid_zeros =
-          bsn_size - mid_alphas - mid_epses - mid_ones;
-      BRSMN_ENSURES_MSG(mid_alphas == 0, "scatter must eliminate all alphas");
-      BRSMN_ENSURES(mid_zeros == in_zeros[bb] + in_alphas[bb]);  // Eq. (4)
-      BRSMN_ENSURES(mid_ones == in_ones[bb] + in_alphas[bb]);    // Eq. (4)
-      BRSMN_ENSURES(mid_epses == in_epses[bb] - in_alphas[bb]);  // Eq. (4)
+      const std::size_t alphas = census.count_alpha(S, bb);
+      BRSMN_ENSURES_MSG(mid.count_alpha(S, bb) == 0,
+                        "scatter must eliminate all alphas");
+      BRSMN_ENSURES(mid.count_ones(S, bb) == census.count_ones(S, bb) + alphas);
+      BRSMN_ENSURES(mid.count_eps(S, bb) == census.count_eps(S, bb) - alphas);
     }
   });
+  lv.charge_pass(result.stats, PassKind::Scatter);
   if (pl != nullptr) {
     capture_stage_events(kx, pl->events);
     pl->num_events = kx.num_events;
@@ -1284,18 +1294,20 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
   }
 
   // Pass 2: quasisort — ε-divide, then Theorem-1 bit sort on b2.
-  fault::guard(checking, n, route_ord, k, PassKind::Quasisort, false, [&] {
-    if (quasi_pass != nullptr) {
+  fault::guard(run.checking, n, run.route_ord, k, PassKind::Quasisort, false,
+               [&] {
+    lv.begin_pass(PassKind::Quasisort);
+    if (quasi_sink.pass != nullptr) {
       quasi_sink.record_input_tags(materialize_tags(kx, /*collapse=*/true));
     }
     obs::PhaseTimer divide_timer(probe.eps_divide);
     obs::PerfScope divide_perf(probe.profiler, probe.perf_eps_divide);
-    obs::TraceSpan divide_span(probe.tracer, "bsn.eps_divide");
+    obs::TraceSpan divide_span(probe.tracer, names.eps_divide);
     divide_eps_packed(ws, mid, &result.stats);
     divide_span.end();
     divide_perf.stop();
     divide_timer.stop();
-    if (quasi_pass != nullptr) {
+    if (quasi_sink.pass != nullptr) {
       quasi_sink.record_divided_tags(
           materialize_tags(kx, /*collapse=*/false));
     }
@@ -1305,41 +1317,27 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
     build_census(divided, kx);
     obs::PhaseTimer quasisort_timer(probe.quasisort);
     obs::PerfScope quasisort_perf(probe.profiler, probe.perf_quasisort);
-    obs::TraceSpan quasisort_span(probe.tracer, "bsn.quasisort.config");
+    obs::TraceSpan quasisort_span(probe.tracer, names.quasisort_config);
     configure_quasisort_packed(
         ws, divided, &result.stats,
-        quasi_pass != nullptr ? &quasi_sink : nullptr,
-        [&](int j, std::size_t g, std::size_t first, std::size_t count,
-            SwitchSetting s) {
-          const std::size_t bb = g >> (S - j);
-          const std::size_t lb = g & ((std::size_t{1} << (S - j)) - 1);
-          level[bb].mutable_quasisort_fabric().fill_block_run(j, lb, first,
-                                                              count, s);
-          if (pl != nullptr && count != 0) {
-            auto& row =
-                pl->quasisort_settings[static_cast<std::size_t>(j - 1)];
-            std::fill_n(row.begin() +
-                            static_cast<std::ptrdiff_t>((g << (j - 1)) + first),
-                        static_cast<std::ptrdiff_t>(count), s);
-          }
-        });
-    quasisort_span.end();
-    quasisort_perf.stop();
-    quasisort_timer.stop();
+        quasi_sink.pass != nullptr ? &quasi_sink : nullptr,
+        installer(PassKind::Quasisort));
   });
   if (pl != nullptr) {
     pl->divided_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
     capture_stage_masks(kx, pl->quasisort_masks);
   }
-  seam.apply_unrolled_packed(level, PassKind::Quasisort, kx.masks);
+  seam.apply(lv, PassKind::Quasisort, &kx.masks);
 
-  fault::guard(checking, n, route_ord, k, PassKind::Quasisort, true, [&] {
+  fault::guard(run.checking, n, run.route_ord, k, PassKind::Quasisort, true,
+               [&] {
     obs::PhaseTimer sort_datapath(probe.datapath);
-    obs::TraceSpan sort_data_span(probe.tracer, "bsn.quasisort.datapath");
+    obs::TraceSpan sort_data_span(probe.tracer, names.quasisort_datapath);
     run_unicast_datapath(kx);
     sort_data_span.end();
     sort_datapath.stop();
-    result.stats.switch_traversals += (n / 2) * static_cast<std::size_t>(S);
+    result.stats.switch_traversals +=
+        (n / 2) * static_cast<std::size_t>(lv.fabric_stages());
 
     // Postcondition: zeros (real or dummy) occupy the upper half of every
     // BSN, ones the lower half — the b2 plane decides, as in the scalar.
@@ -1354,191 +1352,37 @@ void compile_level_unrolled(std::vector<Bsn>& level, std::size_t n, int k,
                         "quasisort output not split by halves");
     }
   });
+  lv.charge_pass(result.stats, PassKind::Quasisort);
   if (pl != nullptr) {
     pl->post_quasisort.assign(kx.state.words().begin(),
                               kx.state.words().end());
   }
 
-  finish_level(ws, k, next_copy_id, checking, route_ord, probe);
-  // All BSNs of one level route concurrently: charge the level's delay
-  // once, not per block.
-  result.stats.gate_delay += bsn_routing_delay(S);
+  finish_level(ws, k, next_copy_id, run);
   result.broadcasts_per_level.push_back(result.stats.broadcast_ops -
                                         splits_before);
   if (pl != nullptr) pl->stats_delta = stats_diff(result.stats, entry_stats);
 }
 
-/// The body of one feedback level (passes 2k-1 and 2k over the physical
-/// fabric), shared with planner::patch_route like compile_level_unrolled.
-void compile_level_feedback(Rbn& fabric, std::size_t n, int m, int k,
-                            CompileWorkspace& ws,
-                            std::uint64_t& next_copy_id, PlanLevel* pl,
-                            RouteResult& result, const RouteOptions& options,
-                            obs::RouteProbe& probe, bool checking,
-                            std::uint64_t route_ord) {
-  LevelKernel& kx = ws.kx;
-  const RoutingStats entry_stats = result.stats;
-  const std::size_t splits_before = result.stats.broadcast_ops;
-  const int top_stage = kx.stages;  // level-k BSN size is 2^top_stage
-  if (pl != nullptr) {
-    // As in compile_level_unrolled: pre-sized stage rows, fully
-    // overwritten by the configure callbacks' runs.
-    pl->scatter_settings.assign(
-        static_cast<std::size_t>(top_stage),
-        std::vector<SwitchSetting>(n / 2, SwitchSetting::Parallel));
-    pl->quasisort_settings.assign(
-        static_cast<std::size_t>(top_stage),
-        std::vector<SwitchSetting>(n / 2, SwitchSetting::Parallel));
-  }
+/// Adopt one stored level verbatim during a patch: install its setting
+/// rows through the schedule (they partition every stage, so this fully
+/// overwrites stale state and matches a cold compile's grids), restore
+/// the post-quasisort checkpoint and event bookkeeping, re-emit the
+/// stored explanation passes, and advance the line state to the level's
+/// stored outcome. Copy ids keep tracking the cold allocation order
+/// because every preceding level — reused or recompiled — produced
+/// exactly the events a cold compile of the new assignment would.
+template <typename Level>
+void reuse_level(const Level& lv, const PlanLevel& old, const RoutePlan& base,
+                 CompileWorkspace& ws, std::uint64_t& next_copy_id,
+                 RouteResult& result, const sched::RouteRun& run) {
+  const int k = lv.level();
   char level_label[24];
   std::snprintf(level_label, sizeof level_label, "level.%d", k);
-  obs::TraceSpan level_span(probe.tracer, level_label);
-  ExplainSink scatter_sink;
-  ExplainSink quasi_sink;
-  if (options.explain) {
-    auto& passes = result.explanation->passes;
-    passes.push_back(make_pass(k, PassKind::Scatter, n, top_stage));
-    passes.push_back(make_pass(k, PassKind::Quasisort, n, top_stage));
-    scatter_sink.pass = &passes[passes.size() - 2];
-    quasi_sink.pass = &passes.back();
-  }
-  fault::PassSeam seam;
-  seam.injector = options.faults;
-  seam.activity = options.fault_activity;
-  seam.route = route_ord;
-  seam.net_width = n;
-  seam.level = k;
-  seam.impl = fault::ImplKind::Feedback;
-  seam.engine = RouteEngine::Packed;
+  obs::TraceSpan level_span(run.probe.tracer, level_label);
+  lv.install(PassKind::Scatter, old.scatter_settings);
+  lv.install(PassKind::Quasisort, old.quasisort_settings);
 
-  // Pass 2k-1: the fabric acts as the level-k scatter networks.
-  fault::guard(checking, n, route_ord, k, PassKind::Scatter, false, [&] {
-    fabric.reset();
-    if (scatter_sink.pass != nullptr) {
-      scatter_sink.record_input_tags(materialize_tags(kx, /*collapse=*/true));
-    }
-    build_census(ws.census, kx);
-    obs::PhaseTimer scatter_timer(probe.scatter);
-    obs::PerfScope scatter_perf(probe.profiler, probe.perf_scatter);
-    obs::TraceSpan scatter_span(probe.tracer, "fb.scatter.config");
-    configure_scatter_packed(
-        ws, ws.census, &result.stats,
-        scatter_sink.pass != nullptr ? &scatter_sink : nullptr,
-        [&](int j, std::size_t g, std::size_t first, std::size_t count,
-            SwitchSetting s) {
-          fabric.fill_block_run(j, g, first, count, s);
-          if (pl != nullptr && count != 0) {
-            auto& row = pl->scatter_settings[static_cast<std::size_t>(j - 1)];
-            std::fill_n(row.begin() +
-                            static_cast<std::ptrdiff_t>((g << (j - 1)) + first),
-                        static_cast<std::ptrdiff_t>(count), s);
-          }
-        });
-  });
-  if (pl != nullptr) capture_stage_masks(kx, pl->scatter_masks);
-  seam.apply_full_packed(fabric, PassKind::Scatter, kx.masks);
-  fault::guard(checking, n, route_ord, k, PassKind::Scatter, true, [&] {
-    finalize_events(ws, /*bsn_block_major=*/false, next_copy_id,
-                    &result.stats);
-    obs::PhaseTimer scatter_datapath(probe.datapath);
-    obs::TraceSpan scatter_data_span(probe.tracer, "fb.scatter.datapath");
-    run_scatter_datapath(kx);
-    scatter_data_span.end();
-    scatter_datapath.stop();
-  });
-  if (pl != nullptr) {
-    capture_stage_events(kx, pl->events);
-    pl->num_events = kx.num_events;
-    pl->parent_codes = kx.parent_code;
-    pl->post_scatter.assign(kx.state.words().begin(),
-                            kx.state.words().end());
-  }
-  // The scalar feedback datapath walks all m physical stages (stages
-  // above top_stage are identity wiring).
-  result.stats.switch_traversals += (n / 2) * static_cast<std::size_t>(m);
-  ++result.stats.fabric_passes;
-  // One scatter configuration sweep (all blocks concurrent) plus a full
-  // traversal of the m-stage fabric.
-  result.stats.gate_delay +=
-      config_sweep_delay(top_stage) + datapath_delay(m);
-
-  // Pass 2k: the fabric acts as the level-k quasisorting networks.
-  fault::guard(checking, n, route_ord, k, PassKind::Quasisort, false, [&] {
-    fabric.reset();
-    kx.reset_pass();
-    build_census(ws.mid, kx);
-    if (quasi_sink.pass != nullptr) {
-      quasi_sink.record_input_tags(materialize_tags(kx, /*collapse=*/true));
-    }
-    obs::TraceSpan quasi_config_span(probe.tracer, "fb.quasisort.config");
-    obs::PhaseTimer divide_timer(probe.eps_divide);
-    obs::PerfScope divide_perf(probe.profiler, probe.perf_eps_divide);
-    obs::TraceSpan divide_span(probe.tracer, "fb.eps_divide");
-    divide_eps_packed(ws, ws.mid, &result.stats);
-    divide_span.end();
-    divide_perf.stop();
-    divide_timer.stop();
-    if (quasi_sink.pass != nullptr) {
-      quasi_sink.record_divided_tags(
-          materialize_tags(kx, /*collapse=*/false));
-    }
-    build_census(ws.divided, kx);
-    obs::PhaseTimer quasisort_timer(probe.quasisort);
-    obs::PerfScope quasisort_perf(probe.profiler, probe.perf_quasisort);
-    configure_quasisort_packed(
-        ws, ws.divided, &result.stats,
-        quasi_sink.pass != nullptr ? &quasi_sink : nullptr,
-        [&](int j, std::size_t g, std::size_t first, std::size_t count,
-            SwitchSetting s) {
-          fabric.fill_block_run(j, g, first, count, s);
-          if (pl != nullptr && count != 0) {
-            auto& row =
-                pl->quasisort_settings[static_cast<std::size_t>(j - 1)];
-            std::fill_n(row.begin() +
-                            static_cast<std::ptrdiff_t>((g << (j - 1)) + first),
-                        static_cast<std::ptrdiff_t>(count), s);
-          }
-        });
-  });
-  if (pl != nullptr) {
-    pl->divided_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
-    capture_stage_masks(kx, pl->quasisort_masks);
-  }
-  seam.apply_full_packed(fabric, PassKind::Quasisort, kx.masks);
-  fault::guard(checking, n, route_ord, k, PassKind::Quasisort, true, [&] {
-    obs::PhaseTimer sort_datapath(probe.datapath);
-    obs::TraceSpan sort_data_span(probe.tracer, "fb.quasisort.datapath");
-    run_unicast_datapath(kx);
-    sort_data_span.end();
-    sort_datapath.stop();
-  });
-  if (pl != nullptr) {
-    pl->post_quasisort.assign(kx.state.words().begin(),
-                              kx.state.words().end());
-  }
-  result.stats.switch_traversals += (n / 2) * static_cast<std::size_t>(m);
-  ++result.stats.fabric_passes;
-  // ε-divide sweep + quasisort sweep + full fabric traversal.
-  result.stats.gate_delay +=
-      2 * config_sweep_delay(top_stage) + datapath_delay(m);
-
-  finish_level(ws, k, next_copy_id, checking, route_ord, probe);
-  result.broadcasts_per_level.push_back(result.stats.broadcast_ops -
-                                        splits_before);
-  if (pl != nullptr) pl->stats_delta = stats_diff(result.stats, entry_stats);
-}
-
-/// The implementation-agnostic half of adopting a stored level during a
-/// patch: restore the post-quasisort checkpoint and event bookkeeping,
-/// re-emit the stored explanation passes, and advance the line state to
-/// the level's stored outcome. Copy ids keep tracking the cold allocation
-/// order because every preceding level — reused or recompiled — produced
-/// exactly the events a cold compile of the new assignment would.
-void reuse_level_state(const PlanLevel& old,
-                       const RouteExplanation* base_explanation, int k,
-                       CompileWorkspace& ws, std::uint64_t& next_copy_id,
-                       RouteResult& result, const RouteOptions& options,
-                       obs::RouteProbe& probe, bool checking) {
   LevelKernel& kx = ws.kx;
   BRSMN_EXPECTS(old.post_quasisort.size() == kx.state.words().size());
   std::copy(old.post_quasisort.begin(), old.post_quasisort.end(),
@@ -1547,357 +1391,170 @@ void reuse_level_state(const PlanLevel& old,
   kx.parent_code = old.parent_codes;
   kx.copy_id_base = next_copy_id;
   next_copy_id += 2 * old.num_events;
-  if (options.explain) {
+  if (result.explanation.has_value()) {
     // The stored passes are pure functions of the (matching) entry
     // planes, so copying them is bit-identical to re-deriving them.
-    const auto& passes = base_explanation->passes;
+    const auto& passes = base.explanation->passes;
     const std::size_t first = 2 * static_cast<std::size_t>(k - 1);
     result.explanation->passes.push_back(passes[first]);
     result.explanation->passes.push_back(passes[first + 1]);
   }
-  finish_level(ws, k, next_copy_id, checking, /*route_ord=*/0, probe);
+  finish_level(ws, k, next_copy_id, run);
   result.stats += old.stats_delta;
   result.broadcasts_per_level.push_back(old.stats_delta.broadcast_ops);
 }
 
-/// Adopt one stored level verbatim on the unrolled network: install its
-/// setting runs into the level's persistent grids (the runs partition
-/// every stage's half-width, so this fully overwrites stale state and
-/// matches a cold compile's grids), then restore the line state.
-void reuse_level_unrolled(std::vector<Bsn>& level, const PlanLevel& old,
-                          const RouteExplanation* base_explanation,
-                          int k, CompileWorkspace& ws,
-                          std::uint64_t& next_copy_id, RouteResult& result,
-                          const RouteOptions& options, obs::RouteProbe& probe,
-                          bool checking) {
-  const int S = ws.kx.stages;
-  char level_label[24];
-  std::snprintf(level_label, sizeof level_label, "level.%d", k);
-  obs::TraceSpan level_span(probe.tracer, level_label);
-  // Each BSN owns the contiguous 2^(S-1)-wide slice of every level-wide
-  // stage row, so installing a stored level is one copy per (BSN, stage).
-  const std::size_t bsn_row = std::size_t{1} << (S - 1);
-  for (int j = 1; j <= S; ++j) {
-    const std::span<const SwitchSetting> srow(
-        old.scatter_settings[static_cast<std::size_t>(j - 1)]);
-    const std::span<const SwitchSetting> qrow(
-        old.quasisort_settings[static_cast<std::size_t>(j - 1)]);
-    for (std::size_t bb = 0; bb < level.size(); ++bb) {
-      level[bb].mutable_scatter_fabric().install_stage(
-          j, srow.subspan(bb * bsn_row, bsn_row));
-      level[bb].mutable_quasisort_fabric().install_stage(
-          j, qrow.subspan(bb * bsn_row, bsn_row));
-    }
-  }
-  reuse_level_state(old, base_explanation, k, ws, next_copy_id, result,
-                    options, probe, checking);
+/// The per-network compile workspace: the widest-level kernel plus every
+/// census/configuration buffer and the stream-free line state, allocated
+/// on the first compile or patch and reused by every later one.
+CompileWorkspace& compile_workspace(std::unique_ptr<CompileWorkspace>& slot,
+                                    std::size_t n, int m) {
+  if (slot == nullptr) slot = std::make_unique<CompileWorkspace>(n, m);
+  return *slot;
 }
 
-/// Adopt one stored level verbatim on the feedback fabric: both passes'
-/// grids are installed (reset first, as in a cold pass) so the physical
-/// fabric ends each level exactly as a cold compile leaves it.
-void reuse_level_feedback(Rbn& fabric, const PlanLevel& old,
-                          const RouteExplanation* base_explanation,
-                          int k, CompileWorkspace& ws,
-                          std::uint64_t& next_copy_id, RouteResult& result,
-                          const RouteOptions& options, obs::RouteProbe& probe,
-                          bool checking) {
-  char level_label[24];
-  std::snprintf(level_label, sizeof level_label, "level.%d", k);
-  obs::TraceSpan level_span(probe.tracer, level_label);
-  fabric.reset();
-  for (std::size_t j = 0; j < old.scatter_settings.size(); ++j) {
-    fabric.install_stage(static_cast<int>(j + 1), old.scatter_settings[j]);
-  }
-  fabric.reset();
-  for (std::size_t j = 0; j < old.quasisort_settings.size(); ++j) {
-    fabric.install_stage(static_cast<int>(j + 1), old.quasisort_settings[j]);
-  }
-  reuse_level_state(old, base_explanation, k, ws, next_copy_id, result,
-                    options, probe, checking);
-}
+/// A patch walk in progress (planner::patch_route): the base plan whose
+/// levels the walk may adopt, the recompile budget in levels, and the
+/// outcome it fills.
+struct PatchWalk {
+  const RoutePlan& base;
+  double budget;
+  planner::PatchOutcome& outcome;
+};
 
-}  // namespace
-
-RouteResult packed_route(Brsmn& net, const MulticastAssignment& assignment,
-                         const RouteOptions& options, RoutePlan* plan) {
-  const std::size_t n = net.n_;
-  const int m = net.m_;
-  obs::RouteProbe probe;
-  obs::FabricHeatmap* heatmap = nullptr;
-  if constexpr (obs::kEnabled) {
-    if (options.metrics != nullptr) {
-      probe = obs::RouteProbe::attach(*options.metrics, options.metrics_prefix);
-    }
-    probe.tracer = options.tracer;
-    probe.attach_profiler(options.profiler);
-    heatmap = options.heatmap;
-  }
-  obs::PhaseTimer total_timer(probe.total);
-  obs::PerfScope total_perf(probe.profiler, probe.perf_total);
-  obs::TraceSpan route_span(probe.tracer, "brsmn.route");
-
-  RouteResult result;
-  result.delivered.assign(n, std::nullopt);
-  if (options.explain) {
-    result.explanation.emplace();
-    result.explanation->n = n;
-  }
-
+/// The packed engine's route driver over either schedule: a cold compile
+/// (capturing `plan` when non-null), or — given `patch` — the patch walk,
+/// which adopts every level whose entry tag planes match the base plan's
+/// stored checkpoint and recompiles the rest through the same level body
+/// into `plan`. Returns false only when the walk exhausts its budget
+/// (`plan` is then unspecified and the caller compiles cold).
+template <typename Schedule>
+bool drive_packed(const Schedule& sched,
+                  std::unique_ptr<CompileWorkspace>& ws_slot,
+                  const MulticastAssignment& assignment,
+                  const RouteOptions& options, RouteResult& result,
+                  RoutePlan* plan, PatchWalk* patch) {
+  constexpr fault::ImplKind impl = Schedule::Level::kImpl;
+  const std::size_t n = sched.size();
+  const int m = sched.levels();
   if (plan != nullptr) {
     // A plan compiled while faults are armed would freeze corrupted
-    // checkpoints — compile_route enforces this before delegating here.
+    // checkpoints — compile_route and patch_route enforce this before
+    // delegating here.
     BRSMN_EXPECTS_MSG(options.faults == nullptr,
                       "cannot compile a route plan under fault injection");
     plan->n = n;
     plan->m = m;
-    plan->impl = fault::ImplKind::Unrolled;
+    plan->impl = impl;
     plan->wcode = static_cast<std::size_t>(m) + 1;
     plan->levels.clear();
     plan->levels.reserve(static_cast<std::size_t>(m - 1));
   }
-
-  const bool checking = options.self_check || options.faults != nullptr;
-  if (options.faults != nullptr) {
-    BRSMN_EXPECTS_MSG(options.faults->size() == n,
-                      "fault plan width must match the network");
-  }
-  const std::uint64_t route_ord =
-      options.faults != nullptr ? options.faults->begin_route() : 0;
-  if (options.fault_activity != nullptr) options.fault_activity->clear();
-
-  try {
-  // Per-network compile workspace: the widest-level kernel plus every
-  // census/configuration buffer and the stream-free line state, allocated
-  // on the first route and reused by every later compile and patch.
-  if (net.compile_ws_ == nullptr) {
-    net.compile_ws_ = std::make_unique<CompileWorkspace>(n, m);
-  }
-  CompileWorkspace& ws = *net.compile_ws_;
-  LevelKernel& kx = ws.kx;
-  kx.ops = &simd::ops(options.simd_backend);
-  kx.heat = heatmap;
-  std::uint64_t next_copy_id = 1;
-  {
-    obs::PhaseTimer advance_timer(probe.advance);
-    begin_copies(ws, assignment, next_copy_id);
-  }
-
-  for (int k = 1; k <= m - 1; ++k) {
-    enter_level(ws, assignment, k, fault::ImplKind::Unrolled, options,
-                route_ord, result);
-    const int S = log2_exact(n >> (k - 1));
-    load_level(ws, k, S, probe);
-    PlanLevel* pl = nullptr;
-    if (plan != nullptr) {
-      pl = &plan->levels.emplace_back();
-      pl->stages = S;
-      pl->entry_t0.assign(kx.tag_plane(0).begin(), kx.tag_plane(0).end());
-      pl->entry_t1.assign(kx.tag_plane(1).begin(), kx.tag_plane(1).end());
-      pl->entry_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
-    }
-    compile_level_unrolled(net.levels_[static_cast<std::size_t>(k - 1)], n, k,
-                           ws, next_copy_id, pl, result, options, probe,
-                           checking, route_ord);
-  }
-
-  enter_level(ws, assignment, m, fault::ImplKind::Unrolled, options, route_ord,
-              result);
-  deliver_final_packed(ws, m, plan, result, options, probe, checking,
-                       route_ord, heatmap);
-
-  const auto expected = expected_delivery(assignment);
-  if (checking) {
-    fault::self_check_delivery(result.delivered, expected, m, route_ord);
-  }
-  BRSMN_ENSURES_MSG(result.delivered == expected,
-                    "BRSMN routed assignment incorrectly");
-  } catch (const fault::FaultDetected& e) {
-    if (options.explain && result.explanation.has_value()) {
-      fault::rethrow_localized(net, e, *result.explanation);
-    }
-    throw;
-  }
-  if (plan != nullptr) capture_result(result, *plan);
-  total_perf.stop();
-  total_timer.stop();
-  if constexpr (obs::kEnabled) {
-    if (probe.enabled()) probe.record_stats(result.stats);
-  }
-  return result;
-}
-
-RouteResult packed_route(FeedbackBrsmn& net,
-                         const MulticastAssignment& assignment,
-                         const RouteOptions& options, RoutePlan* plan) {
-  const std::size_t n = net.size();
-  const int m = net.levels();
-  obs::RouteProbe probe;
-  obs::FabricHeatmap* heatmap = nullptr;
-  if constexpr (obs::kEnabled) {
-    if (options.metrics != nullptr) {
-      probe = obs::RouteProbe::attach(*options.metrics, options.metrics_prefix);
-    }
-    probe.tracer = options.tracer;
-    probe.attach_profiler(options.profiler);
-    heatmap = options.heatmap;
-  }
+  const sched::RouteRun run(options, n);
+  const obs::RouteProbe& probe = run.probe;
+  obs::Histogram* patch_hist =
+      patch != nullptr && probe.enabled()
+          ? &probe.registry->histogram(probe.prefix + ".phase.patch_ns")
+          : nullptr;
   obs::PhaseTimer total_timer(probe.total);
   obs::PerfScope total_perf(probe.profiler, probe.perf_total);
-  obs::TraceSpan route_span(probe.tracer, "feedback.route");
+  obs::PhaseTimer patch_timer(patch_hist);
+  obs::TraceSpan route_span(probe.tracer, patch != nullptr
+                                              ? "plan.patch"
+                                              : Schedule::kRouteSpan);
 
-  RouteResult result;
   result.delivered.assign(n, std::nullopt);
   if (options.explain) {
     result.explanation.emplace();
     result.explanation->n = n;
   }
 
-  if (plan != nullptr) {
-    BRSMN_EXPECTS_MSG(options.faults == nullptr,
-                      "cannot compile a route plan under fault injection");
-    plan->n = n;
-    plan->m = m;
-    plan->impl = fault::ImplKind::Feedback;
-    plan->wcode = static_cast<std::size_t>(m) + 1;
-    plan->levels.clear();
-    plan->levels.reserve(static_cast<std::size_t>(m - 1));
-  }
-
-  const bool checking = options.self_check || options.faults != nullptr;
-  if (options.faults != nullptr) {
-    BRSMN_EXPECTS_MSG(options.faults->size() == n,
-                      "fault plan width must match the network");
-  }
-  const std::uint64_t route_ord =
-      options.faults != nullptr ? options.faults->begin_route() : 0;
-  if (options.fault_activity != nullptr) options.fault_activity->clear();
-
   try {
-  // See the unrolled driver: per-network workspace, reused every route.
-  if (net.compile_ws_ == nullptr) {
-    net.compile_ws_ = std::make_unique<CompileWorkspace>(n, m);
-  }
-  CompileWorkspace& ws = *net.compile_ws_;
-  LevelKernel& kx = ws.kx;
-  kx.ops = &simd::ops(options.simd_backend);
-  kx.heat = heatmap;
-  std::uint64_t next_copy_id = 1;
-  {
-    obs::PhaseTimer advance_timer(probe.advance);
-    begin_copies(ws, assignment, next_copy_id);
-  }
-
-  for (int k = 1; k <= m - 1; ++k) {
-    enter_level(ws, assignment, k, fault::ImplKind::Feedback, options,
-                route_ord, result);
-    const int top_stage = m - k + 1;  // level-k BSN size is 2^top_stage
-    load_level(ws, k, top_stage, probe);
-    PlanLevel* pl = nullptr;
-    if (plan != nullptr) {
-      pl = &plan->levels.emplace_back();
-      pl->stages = top_stage;
-      pl->entry_t0.assign(kx.tag_plane(0).begin(), kx.tag_plane(0).end());
-      pl->entry_t1.assign(kx.tag_plane(1).begin(), kx.tag_plane(1).end());
-      pl->entry_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
+    CompileWorkspace& ws = compile_workspace(ws_slot, n, m);
+    LevelKernel& kx = ws.kx;
+    kx.ops = &simd::ops(options.simd_backend);
+    // A patch's reused levels restore stored checkpoints without running
+    // the datapath, so only recompiled levels (and the always-fresh final
+    // level) accumulate heatmap activity on the patch path.
+    kx.heat = run.heatmap;
+    std::uint64_t next_copy_id = 1;
+    {
+      obs::PhaseTimer advance_timer(probe.advance);
+      begin_copies(ws, assignment, next_copy_id);
     }
-    compile_level_feedback(net.fabric_, n, m, k, ws, next_copy_id, pl, result,
-                           options, probe, checking, route_ord);
-  }
 
-  // Final pass: the 2x2-switch level, realized by stage 1 of the fabric.
-  enter_level(ws, assignment, m, fault::ImplKind::Feedback, options, route_ord,
-              result);
-  deliver_final_packed(ws, m, plan, result, options, probe, checking,
-                       route_ord, heatmap);
-  ++result.stats.fabric_passes;
+    for (int k = 1; k <= m - 1; ++k) {
+      const int stages = m - k + 1;
+      enter_level(ws, assignment, k, impl, options, run, result);
+      load_level(ws, k, stages, probe);
+      if (patch != nullptr) {
+        const PlanLevel& old =
+            patch->base.levels[static_cast<std::size_t>(k - 1)];
+        if (old.stages == stages && entry_planes_match(kx, old)) {
+          plan->levels.push_back(old);
+          reuse_level(sched.level(k), old, patch->base, ws, next_copy_id,
+                      result, run);
+          ++patch->outcome.levels_reused;
+          continue;
+        }
+        if (patch->outcome.first_dirty_level == 0) {
+          patch->outcome.first_dirty_level = k;
+        }
+        if (static_cast<double>(patch->outcome.levels_recompiled + 1) >
+            patch->budget) {
+          return false;
+        }
+        ++patch->outcome.levels_recompiled;
+      }
+      PlanLevel* pl =
+          plan != nullptr ? &open_plan_level(*plan, kx, stages) : nullptr;
+      compile_level(sched.level(k), ws, next_copy_id, pl, result, run);
+    }
 
-  const auto expected = expected_delivery(assignment);
-  if (checking) {
-    fault::self_check_delivery(result.delivered, expected, m, route_ord);
-  }
-  BRSMN_ENSURES_MSG(result.delivered == expected,
-                    "feedback BRSMN routed assignment incorrectly");
+    // The final 2x2 delivery level is always computed fresh — on a patch
+    // it is cheap, and rebuilding it revalidates the delivery end to end.
+    enter_level(ws, assignment, m, impl, options, run, result);
+    deliver_final_packed(ws, m, plan, result, run);
+    sched.charge_final(result.stats);
+    finish_route(assignment, m, run, result, plan);
   } catch (const fault::FaultDetected& e) {
-    if (options.explain && result.explanation.has_value()) {
-      fault::rethrow_localized(net, e, *result.explanation);
+    if (result.explanation.has_value()) {
+      fault::rethrow_localized(sched, e, *result.explanation);
     }
     throw;
   }
-  if (plan != nullptr) capture_result(result, *plan);
+  patch_timer.stop();
   total_perf.stop();
   total_timer.stop();
   if constexpr (obs::kEnabled) {
     if (probe.enabled()) probe.record_stats(result.stats);
   }
-  return result;
+  return true;
 }
 
-namespace {
-
-/// The shared patch walk: walk the levels of a fresh compile of
-/// `assignment`, adopting every level whose entry tag planes match the
-/// base plan's stored checkpoint and recompiling the rest through the
-/// exact cold code path. `reuse` and `compile` bind the implementation's
-/// fabric (the install targets are private to the networks, so the
-/// befriended planner::patch_route overloads pass them in as callables).
-template <typename ReuseFn, typename CompileFn>
-planner::PatchOutcome patch_route_core(
-    std::size_t n, int m, fault::ImplKind impl,
-    CompileWorkspace& ws, const MulticastAssignment& assignment,
-    const RoutePlan& base, const RouteOptions& options, RoutePlan& out,
-    const planner::PatchConfig& config, ReuseFn&& reuse,
-    CompileFn&& compile) {
+/// planner::patch_route over either schedule: check that `base` was
+/// compiled on this network, then run the driver as a patch walk.
+template <typename Schedule>
+planner::PatchOutcome patch_route_packed(
+    const Schedule& sched, std::unique_ptr<CompileWorkspace>& ws_slot,
+    const MulticastAssignment& assignment, const RoutePlan& base,
+    const RouteOptions& options, RoutePlan& out,
+    const planner::PatchConfig& config) {
+  const int m = sched.levels();
   BRSMN_EXPECTS_MSG(options.faults == nullptr,
                     "cannot patch a route plan under fault injection");
   BRSMN_EXPECTS_MSG(!options.capture_levels,
                     "cannot capture level inputs while patching");
-  BRSMN_EXPECTS_MSG(assignment.size() == n,
+  BRSMN_EXPECTS_MSG(assignment.size() == sched.size(),
                     "assignment width must match the network");
   BRSMN_EXPECTS_MSG(
-      base.n == n && base.impl == impl &&
+      base.n == sched.size() && base.impl == Schedule::Level::kImpl &&
           base.levels.size() == static_cast<std::size_t>(m - 1),
       "patch base must be a plan compiled on this network");
-
   planner::PatchOutcome outcome;
   // Reused levels adopt the base's explanation passes verbatim; a base
   // compiled without one cannot serve an explained patch.
   if (options.explain && !base.explanation.has_value()) return outcome;
-
-  obs::RouteProbe probe;
-  obs::Histogram* patch_hist = nullptr;
-  obs::FabricHeatmap* heatmap = nullptr;
-  if constexpr (obs::kEnabled) {
-    if (options.metrics != nullptr) {
-      probe = obs::RouteProbe::attach(*options.metrics, options.metrics_prefix);
-      patch_hist = &options.metrics->histogram(
-          std::string(options.metrics_prefix) + ".phase.patch_ns");
-    }
-    probe.tracer = options.tracer;
-    probe.attach_profiler(options.profiler);
-    heatmap = options.heatmap;
-  }
-  obs::PhaseTimer total_timer(probe.total);
-  obs::PerfScope total_perf(probe.profiler, probe.perf_total);
-  obs::PhaseTimer patch_timer(patch_hist);
-  obs::TraceSpan patch_span(probe.tracer, "plan.patch");
-
-  RouteResult& result = outcome.result;
-  result.delivered.assign(n, std::nullopt);
-  if (options.explain) {
-    result.explanation.emplace();
-    result.explanation->n = n;
-  }
-
-  out.n = n;
-  out.m = m;
-  out.impl = impl;
-  out.wcode = static_cast<std::size_t>(m) + 1;
-  out.levels.clear();
-  out.levels.reserve(static_cast<std::size_t>(m - 1));
-
-  const bool checking = options.self_check;
-
   // Recompile budget: one more dirty level than this abandons the patch.
   // Dirtiness is not monotone in depth — a level's entries re-converge
   // onto the base checkpoints once quasisort has normalized the order
@@ -1905,127 +1562,47 @@ planner::PatchOutcome patch_route_core(
   // at all) — so the budget counts *actual* dirty levels as the walk
   // discovers them. A walk that exhausts the budget has spent at most
   // max_dirty_fraction of a cold compile before handing over.
-  const double budget =
-      config.max_dirty_fraction * static_cast<double>(m - 1);
-
-  LevelKernel& kx = ws.kx;
-  kx.ops = &simd::ops(options.simd_backend);
-  // Reused levels restore stored checkpoints without re-running the
-  // datapath, so only recompiled levels (and the always-fresh final
-  // level) accumulate heatmap activity on the patch path.
-  kx.heat = heatmap;
-  std::uint64_t next_copy_id = 1;
-  {
-    obs::PhaseTimer advance_timer(probe.advance);
-    begin_copies(ws, assignment, next_copy_id);
-  }
-
-  for (int k = 1; k <= m - 1; ++k) {
-    const int stages = m - k + 1;  // both impls: level-k BSN size 2^(m-k+1)
-    load_level(ws, k, stages, probe);
-    const PlanLevel& old = base.levels[static_cast<std::size_t>(k - 1)];
-    const bool clean = old.stages == stages && entry_planes_match(kx, old);
-    if (!clean) {
-      if (outcome.first_dirty_level == 0) outcome.first_dirty_level = k;
-      if (static_cast<double>(outcome.levels_recompiled + 1) > budget) {
-        return outcome;  // abandoned: `out` unspecified, caller compiles cold
-      }
-    }
-    PlanLevel* pl = &out.levels.emplace_back();
-    if (clean) {
-      *pl = old;
-      reuse(k, old, ws, next_copy_id, result, probe, checking);
-      ++outcome.levels_reused;
-    } else {
-      pl->stages = stages;
-      pl->entry_t0.assign(kx.tag_plane(0).begin(), kx.tag_plane(0).end());
-      pl->entry_t1.assign(kx.tag_plane(1).begin(), kx.tag_plane(1).end());
-      pl->entry_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
-      compile(k, ws, next_copy_id, pl, result, probe, checking);
-      ++outcome.levels_recompiled;
-    }
-  }
-
-  // The final 2x2 delivery level is always computed fresh — it is cheap,
-  // and rebuilding it revalidates the patched route's delivery end to end.
-  deliver_final_packed(ws, m, &out, result, options, probe, checking,
-                       /*route_ord=*/0, heatmap);
-  if (impl == fault::ImplKind::Feedback) ++result.stats.fabric_passes;
-
-  const auto expected = expected_delivery(assignment);
-  if (checking) {
-    fault::self_check_delivery(result.delivered, expected, m, 0);
-  }
-  BRSMN_ENSURES_MSG(result.delivered == expected,
-                    "patched BRSMN route delivered incorrectly");
-  capture_result(result, out);
-  outcome.patched = true;
-  total_perf.stop();
-  total_timer.stop();
-  if constexpr (obs::kEnabled) {
-    if (probe.enabled()) probe.record_stats(result.stats);
-  }
+  PatchWalk walk{base, config.max_dirty_fraction * static_cast<double>(m - 1),
+                 outcome};
+  outcome.patched = drive_packed(sched, ws_slot, assignment, options,
+                                 outcome.result, &out, &walk);
   return outcome;
 }
 
 }  // namespace
+
+RouteResult packed_route(Brsmn& net, const MulticastAssignment& assignment,
+                         const RouteOptions& options, RoutePlan* plan) {
+  RouteResult result;
+  drive_packed(net.schedule(), net.compile_ws_, assignment, options, result,
+               plan, nullptr);
+  return result;
+}
+
+RouteResult packed_route(FeedbackBrsmn& net,
+                         const MulticastAssignment& assignment,
+                         const RouteOptions& options, RoutePlan* plan) {
+  RouteResult result;
+  drive_packed(net.schedule(), net.compile_ws_, assignment, options, result,
+               plan, nullptr);
+  return result;
+}
 
 namespace planner {
 
 PatchOutcome patch_route(Brsmn& net, const MulticastAssignment& assignment,
                          const RoutePlan& base, const RouteOptions& options,
                          RoutePlan& out, const PatchConfig& config) {
-  const RouteExplanation* base_expl =
-      base.explanation.has_value() ? &*base.explanation : nullptr;
-  if (net.compile_ws_ == nullptr) {
-    net.compile_ws_ =
-        std::make_unique<CompileWorkspace>(net.n_, net.m_);
-  }
-  return patch_route_core(
-      net.n_, net.m_, fault::ImplKind::Unrolled, *net.compile_ws_,
-      assignment, base, options, out, config,
-      [&](int k, const PlanLevel& old, CompileWorkspace& ws,
-          std::uint64_t& next_copy_id, RouteResult& result,
-          obs::RouteProbe& probe, bool checking) {
-        reuse_level_unrolled(net.levels_[static_cast<std::size_t>(k - 1)],
-                             old, base_expl, k, ws, next_copy_id, result,
-                             options, probe, checking);
-      },
-      [&](int k, CompileWorkspace& ws, std::uint64_t& next_copy_id,
-          PlanLevel* pl, RouteResult& result, obs::RouteProbe& probe,
-          bool checking) {
-        compile_level_unrolled(net.levels_[static_cast<std::size_t>(k - 1)],
-                               net.n_, k, ws, next_copy_id, pl, result,
-                               options, probe, checking, /*route_ord=*/0);
-      });
+  return patch_route_packed(net.schedule(), net.compile_ws_, assignment, base,
+                            options, out, config);
 }
 
 PatchOutcome patch_route(FeedbackBrsmn& net,
                          const MulticastAssignment& assignment,
                          const RoutePlan& base, const RouteOptions& options,
                          RoutePlan& out, const PatchConfig& config) {
-  const RouteExplanation* base_expl =
-      base.explanation.has_value() ? &*base.explanation : nullptr;
-  if (net.compile_ws_ == nullptr) {
-    net.compile_ws_ = std::make_unique<CompileWorkspace>(
-        net.size(), net.levels());
-  }
-  return patch_route_core(
-      net.size(), net.levels(), fault::ImplKind::Feedback, *net.compile_ws_,
-      assignment, base, options, out, config,
-      [&](int k, const PlanLevel& old, CompileWorkspace& ws,
-          std::uint64_t& next_copy_id, RouteResult& result,
-          obs::RouteProbe& probe, bool checking) {
-        reuse_level_feedback(net.fabric_, old, base_expl, k, ws, next_copy_id,
-                             result, options, probe, checking);
-      },
-      [&](int k, CompileWorkspace& ws, std::uint64_t& next_copy_id,
-          PlanLevel* pl, RouteResult& result, obs::RouteProbe& probe,
-          bool checking) {
-        compile_level_feedback(net.fabric_, net.size(), net.levels(), k, ws,
-                               next_copy_id, pl, result, options, probe,
-                               checking, /*route_ord=*/0);
-      });
+  return patch_route_packed(net.schedule(), net.compile_ws_, assignment, base,
+                            options, out, config);
 }
 
 }  // namespace planner

@@ -17,6 +17,7 @@
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "core/fabric_schedule.hpp"
 #include "core/level_kernel.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/self_check.hpp"
@@ -84,18 +85,19 @@ bool apply_dead_lines_packed(const fault::FaultInjector* injector,
   return any_killed;
 }
 
-/// The implementation-independent replay loop. `install_pass(k, pass,
-/// pl)` installs the pass's stored setting runs into the physical fabric
-/// (the per-implementation part); `seam_apply(seam, k, pass, masks)`
-/// routes the fault seam to it. The replay always drives the packed
-/// datapath, so the seam sees RouteEngine::Packed regardless of
-/// options.engine (the engines are bit-identical, and so are their
-/// replays).
-template <typename InstallFn, typename SeamFn>
-void replay_core(std::size_t n, int m, fault::ImplKind impl,
-                 const RoutePlan& plan, const RouteOptions& options,
-                 RouteResult& out, pkern::ReplayWorkspace& ws,
-                 InstallFn&& install_pass, SeamFn&& seam_apply) {
+/// The replay loop over either fabric schedule: the schedule installs
+/// each pass's stored setting rows into the physical fabric (reset first
+/// on the feedback fabric, as a cold pass is) and routes the fault seam
+/// to it. The replay always drives the packed datapath, so the seam sees
+/// RouteEngine::Packed regardless of options.engine (the engines are
+/// bit-identical, and so are their replays).
+template <typename Schedule>
+void replay_core(const Schedule& sched, const RoutePlan& plan,
+                 const RouteOptions& options, RouteResult& out,
+                 std::unique_ptr<pkern::ReplayWorkspace>& ws_slot) {
+  constexpr fault::ImplKind impl = Schedule::Level::kImpl;
+  const std::size_t n = sched.size();
+  const int m = sched.levels();
   BRSMN_EXPECTS_MSG(plan.n == n && plan.m == m,
                     "route plan was compiled for a different network size");
   BRSMN_EXPECTS_MSG(plan.impl == impl,
@@ -104,34 +106,22 @@ void replay_core(std::size_t n, int m, fault::ImplKind impl,
                     "route_replay cannot capture level inputs");
   BRSMN_EXPECTS_MSG(!options.explain || plan.explanation.has_value(),
                     "explain replay requires a plan compiled with explain");
-
-  obs::RouteProbe probe;
-  obs::Histogram* replay_hist = nullptr;
-  obs::FabricHeatmap* heatmap = nullptr;
-  if constexpr (obs::kEnabled) {
-    if (options.metrics != nullptr) {
-      probe = obs::RouteProbe::attach(*options.metrics, options.metrics_prefix);
-      replay_hist = &options.metrics->histogram(
-          std::string(options.metrics_prefix) + ".phase.replay_ns");
-    }
-    probe.tracer = options.tracer;
-    probe.attach_profiler(options.profiler);
-    heatmap = options.heatmap;
+  if (ws_slot == nullptr) {
+    ws_slot = std::make_unique<pkern::ReplayWorkspace>(n, m);
   }
+  pkern::ReplayWorkspace& ws = *ws_slot;
+
+  const sched::RouteRun run(options, n);
+  const obs::RouteProbe& probe = run.probe;
+  obs::Histogram* replay_hist =
+      probe.enabled()
+          ? &probe.registry->histogram(probe.prefix + ".phase.replay_ns")
+          : nullptr;
   obs::PhaseTimer total_timer(probe.total);
   obs::PerfScope total_perf(probe.profiler, probe.perf_total);
   obs::PhaseTimer replay_timer(replay_hist);
   obs::PerfScope replay_perf(probe.profiler, probe.perf_replay);
   obs::TraceSpan replay_span(probe.tracer, "plan.replay");
-
-  const bool checking = options.self_check || options.faults != nullptr;
-  if (options.faults != nullptr) {
-    BRSMN_EXPECTS_MSG(options.faults->size() == n,
-                      "fault plan width must match the network");
-  }
-  const std::uint64_t route_ord =
-      options.faults != nullptr ? options.faults->begin_route() : 0;
-  if (options.fault_activity != nullptr) options.fault_activity->clear();
 
   pkern::LevelKernel& kx = ws.kx;
   // Replay is backend-agnostic: the stored masks, events and checkpoints
@@ -141,46 +131,39 @@ void replay_core(std::size_t n, int m, fault::ImplKind impl,
 
   for (int k = 1; k <= m - 1; ++k) {
     const PlanLevel& pl = plan.levels[static_cast<std::size_t>(k - 1)];
+    const auto lv = sched.level(k);
     const int S = pl.stages;
     kx.stages = S;
     // The workspace kernel persists across replays; (re)binding the
     // heatmap each route keeps unobserved replays observation-free.
-    kx.heat = heatmap;
+    kx.heat = run.heatmap;
     kx.heat_level = k;
     pkern::load_identity_codes(kx);
     copy_span(kx.tag_plane(0), pl.entry_t0);
     copy_span(kx.tag_plane(1), pl.entry_t1);
     copy_span(kx.tag_plane(2), pl.entry_t2);
-    if (options.faults != nullptr) {
-      apply_dead_lines_packed(options.faults, route_ord, k, impl,
+    if (run.faults != nullptr) {
+      apply_dead_lines_packed(run.faults, run.route_ord, k, impl,
                               RouteEngine::Packed, kx.tag_plane(0),
-                              kx.tag_plane(1), kx.tag_plane(2),
-                              options.fault_activity);
+                              kx.tag_plane(1), kx.tag_plane(2), run.activity);
     }
-
-    fault::PassSeam seam;
-    seam.injector = options.faults;
-    seam.activity = options.fault_activity;
-    seam.route = route_ord;
-    seam.net_width = n;
-    seam.level = k;
-    seam.impl = impl;
-    seam.engine = RouteEngine::Packed;
+    const fault::PassSeam seam = run.seam(k, impl, RouteEngine::Packed);
 
     // Scatter pass: stored settings in, datapath through, checkpoint out.
     copy_masks(kx.masks, pl.scatter_masks);
-    install_pass(k, PassKind::Scatter, pl);
-    seam_apply(seam, k, PassKind::Scatter, kx.masks);
+    lv.install(PassKind::Scatter, pl.scatter_settings);
+    seam.apply(lv, PassKind::Scatter, &kx.masks);
     for (std::size_t j = 0; j < static_cast<std::size_t>(S); ++j) {
       kx.events[j] = pl.events[j];
     }
     kx.num_events = pl.num_events;
     kx.parent_code.assign(pl.num_events, 0);
-    fault::guard(checking, n, route_ord, k, PassKind::Scatter, true, [&] {
+    fault::guard(run.checking, n, run.route_ord, k, PassKind::Scatter, true,
+                 [&] {
       obs::PhaseTimer scatter_datapath(probe.datapath);
       pkern::run_scatter_datapath(kx);
       scatter_datapath.stop();
-      if (checking) {
+      if (run.checking) {
         BRSMN_ENSURES_MSG(
             state_equals(kx, pl.post_scatter),
             "replay diverged from the plan after the scatter pass");
@@ -191,13 +174,14 @@ void replay_core(std::size_t n, int m, fault::ImplKind impl,
     // t2 plane rather than re-deriving it.
     copy_span(kx.tag_plane(2), pl.divided_t2);
     copy_masks(kx.masks, pl.quasisort_masks);
-    install_pass(k, PassKind::Quasisort, pl);
-    seam_apply(seam, k, PassKind::Quasisort, kx.masks);
-    fault::guard(checking, n, route_ord, k, PassKind::Quasisort, true, [&] {
+    lv.install(PassKind::Quasisort, pl.quasisort_settings);
+    seam.apply(lv, PassKind::Quasisort, &kx.masks);
+    fault::guard(run.checking, n, run.route_ord, k, PassKind::Quasisort, true,
+                 [&] {
       obs::PhaseTimer sort_datapath(probe.datapath);
       pkern::run_unicast_datapath(kx);
       sort_datapath.stop();
-      if (checking) {
+      if (run.checking) {
         BRSMN_ENSURES_MSG(
             state_equals(kx, pl.post_quasisort),
             "replay diverged from the plan after the quasisort pass");
@@ -208,14 +192,14 @@ void replay_core(std::size_t n, int m, fault::ImplKind impl,
   // Final 2x2-switch level: the plan's delivery is correct unless a dead
   // line kills a live packet at the delivery level — screen for exactly
   // that with the stored entry planes.
-  if (options.faults != nullptr) {
+  if (run.faults != nullptr) {
     ws.final_t0 = plan.final_t0;
     ws.final_t1 = plan.final_t1;
     ws.final_t2 = plan.final_t2;
-    fault::guard(true, n, route_ord, m, PassKind::Final, true, [&] {
+    fault::guard(true, n, run.route_ord, m, PassKind::Final, true, [&] {
       const bool killed = apply_dead_lines_packed(
-          options.faults, route_ord, m, impl, RouteEngine::Packed,
-          ws.final_t0, ws.final_t1, ws.final_t2, options.fault_activity);
+          run.faults, run.route_ord, m, impl, RouteEngine::Packed,
+          ws.final_t0, ws.final_t1, ws.final_t2, run.activity);
       BRSMN_ENSURES_MSG(
           !killed,
           "replay: a dead line at the delivery level killed a live packet");
@@ -225,11 +209,11 @@ void replay_core(std::size_t n, int m, fault::ImplKind impl,
   // The final 2x2 level has no replayed datapath — record its entry
   // occupancy from the stored planes (screened for dead lines when
   // faults are armed), matching a cold route's final-level record.
-  if (heatmap != nullptr) {
-    if (options.faults != nullptr) {
-      heatmap->record_final_tags(ws.final_t0, ws.final_t1);
+  if (run.heatmap != nullptr) {
+    if (run.faults != nullptr) {
+      run.heatmap->record_final_tags(ws.final_t0, ws.final_t1);
     } else {
-      heatmap->record_final_tags(plan.final_t0, plan.final_t1);
+      run.heatmap->record_final_tags(plan.final_t0, plan.final_t1);
     }
   }
 
@@ -272,34 +256,7 @@ RouteResult Brsmn::route_replay(const RoutePlan& plan,
 
 void Brsmn::route_replay_into(const RoutePlan& plan,
                               const RouteOptions& options, RouteResult& out) {
-  if (replay_ws_ == nullptr) {
-    replay_ws_ = std::make_unique<pkern::ReplayWorkspace>(n_, m_);
-  }
-  auto install = [&](int k, PassKind pass, const PlanLevel& pl) {
-    auto& level = levels_[static_cast<std::size_t>(k - 1)];
-    const auto& rows =
-        pass == PassKind::Scatter ? pl.scatter_settings : pl.quasisort_settings;
-    // Each BSN owns the contiguous 2^(S-1)-wide slice of every
-    // level-wide stage row: one copy per (BSN, stage).
-    const std::size_t bsn_row = std::size_t{1} << (pl.stages - 1);
-    for (std::size_t j = 0; j < rows.size(); ++j) {
-      const std::span<const SwitchSetting> row(rows[j]);
-      for (std::size_t bb = 0; bb < level.size(); ++bb) {
-        Rbn& fabric = pass == PassKind::Scatter
-                          ? level[bb].mutable_scatter_fabric()
-                          : level[bb].mutable_quasisort_fabric();
-        fabric.install_stage(static_cast<int>(j + 1),
-                             row.subspan(bb * bsn_row, bsn_row));
-      }
-    }
-  };
-  auto seam_apply = [&](fault::PassSeam& seam, int k, PassKind pass,
-                        std::vector<packed::StageMasks>& masks) {
-    seam.apply_unrolled_packed(levels_[static_cast<std::size_t>(k - 1)], pass,
-                               masks);
-  };
-  replay_core(n_, m_, fault::ImplKind::Unrolled, plan, options, out,
-              *replay_ws_, install, seam_apply);
+  replay_core(schedule(), plan, options, out, replay_ws_);
 }
 
 RouteResult FeedbackBrsmn::route_replay(const RoutePlan& plan,
@@ -312,28 +269,7 @@ RouteResult FeedbackBrsmn::route_replay(const RoutePlan& plan,
 void FeedbackBrsmn::route_replay_into(const RoutePlan& plan,
                                       const RouteOptions& options,
                                       RouteResult& out) {
-  if (replay_ws_ == nullptr) {
-    replay_ws_ =
-        std::make_unique<pkern::ReplayWorkspace>(fabric_.size(),
-                                                 fabric_.stages());
-  }
-  auto install = [&](int /*k*/, PassKind pass, const PlanLevel& pl) {
-    // A cold feedback pass resets the fabric before configuring it; the
-    // stored rows then cover exactly the reconfigured stages, so the
-    // fabric grid after each pass matches the cold route bit-exactly.
-    fabric_.reset();
-    const auto& rows =
-        pass == PassKind::Scatter ? pl.scatter_settings : pl.quasisort_settings;
-    for (std::size_t j = 0; j < rows.size(); ++j) {
-      fabric_.install_stage(static_cast<int>(j + 1), rows[j]);
-    }
-  };
-  auto seam_apply = [&](fault::PassSeam& seam, int /*k*/, PassKind pass,
-                        std::vector<packed::StageMasks>& masks) {
-    seam.apply_full_packed(fabric_, pass, masks);
-  };
-  replay_core(fabric_.size(), fabric_.stages(), fault::ImplKind::Feedback,
-              plan, options, out, *replay_ws_, install, seam_apply);
+  replay_core(schedule(), plan, options, out, replay_ws_);
 }
 
 std::uint64_t assignment_fingerprint(const MulticastAssignment& a) {

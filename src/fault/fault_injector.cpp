@@ -119,58 +119,17 @@ void apply_dead_lines(const FaultInjector* injector, std::uint64_t route,
                         });
 }
 
-void PassSeam::apply_local(Rbn& fabric, PassKind pass) const {
-  if (!armed()) return;
-  for (const auto& fault :
-       injector->switch_faults(route, level, pass, impl, engine)) {
-    const std::size_t u = fault_site_upper_line(fault.stage, fault.index);
-    if (u < line_base || u >= line_base + fabric.size()) continue;
-    const std::size_t lsw = fault_site_local_switch(fault.stage, u, line_base);
-    const auto resolved = resolve_and_record(
-        *this, pass, fault, fabric.setting(fault.stage, lsw));
-    if (resolved) fabric.set(fault.stage, lsw, *resolved);
-  }
-}
-
-void PassSeam::apply_unrolled_packed(
-    std::vector<Bsn>& level_bsns, PassKind pass,
-    std::vector<packed::StageMasks>& masks) const {
-  if (!armed()) return;
-  BRSMN_EXPECTS(!level_bsns.empty());
-  const std::size_t bsn_size = level_bsns[0].size();
-  for (const auto& fault :
-       injector->switch_faults(route, level, pass, impl, engine)) {
-    const std::size_t u = fault_site_upper_line(fault.stage, fault.index);
-    const std::size_t d = std::size_t{1} << (fault.stage - 1);
-    const std::size_t bb = u / bsn_size;
-    Bsn& bsn = level_bsns[bb];
-    Rbn& fabric = pass == PassKind::Scatter ? bsn.mutable_scatter_fabric()
-                                            : bsn.mutable_quasisort_fabric();
-    const std::size_t lsw = fault_site_local_switch(fault.stage, u, bb * bsn_size);
-    const auto resolved = resolve_and_record(
-        *this, pass, fault, fabric.setting(fault.stage, lsw));
-    if (resolved) {
-      fabric.set(fault.stage, lsw, *resolved);
-      set_mask_switch(masks[static_cast<std::size_t>(fault.stage - 1)], u, d,
-                      *resolved);
-    }
-  }
-}
-
-void PassSeam::apply_full_packed(Rbn& fabric, PassKind pass,
-                                 std::vector<packed::StageMasks>& masks) const {
-  if (!armed()) return;
-  for (const auto& fault :
-       injector->switch_faults(route, level, pass, impl, engine)) {
-    const std::size_t u = fault_site_upper_line(fault.stage, fault.index);
-    const std::size_t d = std::size_t{1} << (fault.stage - 1);
-    const auto resolved = resolve_and_record(
-        *this, pass, fault, fabric.setting(fault.stage, fault.index));
-    if (resolved) {
-      fabric.set(fault.stage, fault.index, *resolved);
-      set_mask_switch(masks[static_cast<std::size_t>(fault.stage - 1)], u, d,
-                      *resolved);
-    }
+void PassSeam::apply_at(FabricSwitch sw, PassKind pass,
+                        const FaultInjector::ArmedSwitchFault& fault,
+                        std::vector<packed::StageMasks>* masks) const {
+  const auto resolved = resolve_and_record(
+      *this, pass, fault, sw.fabric->setting(fault.stage, sw.index));
+  if (!resolved) return;
+  sw.fabric->set(fault.stage, sw.index, *resolved);
+  if (masks != nullptr) {
+    set_mask_switch((*masks)[static_cast<std::size_t>(fault.stage - 1)],
+                    fault_site_upper_line(fault.stage, fault.index),
+                    std::size_t{1} << (fault.stage - 1), *resolved);
   }
 }
 

@@ -8,11 +8,11 @@
 // localization (fault/locate.hpp) possible: intent and actual are two
 // separate artifacts that can be diffed.
 //
-// The same seam drives all four drivers. Scalar engines patch the Rbn
-// settings the datapath reads; the packed engine patches both the Rbn
-// fabrics (so post-route inspection agrees) and the stage bitmasks its
-// word-parallel datapath actually consumes — in lockstep, so the two
-// engines stay bit-identical under the same plan.
+// One seam serves both engines over either fabric schedule. The scalar
+// engine patches the Rbn settings its datapath reads; the packed engine
+// patches both the Rbn fabrics (so post-route inspection agrees) and the
+// stage bitmasks its word-parallel datapath actually consumes — in
+// lockstep, so the two engines stay bit-identical under the same plan.
 #pragma once
 
 #include <atomic>
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/brsmn.hpp"
-#include "core/bsn.hpp"
 #include "core/packed_kernel.hpp"
 #include "core/rbn.hpp"
 #include "fault/fault_plan.hpp"
@@ -148,10 +147,18 @@ void apply_dead_lines_with(const FaultInjector* injector, std::uint64_t route,
 }
 
 /// apply_dead_lines_with over LineValues: each dead line becomes an empty
-/// ε (the scalar drivers, before the level's slicing).
+/// ε (the scalar engine, at level entry).
 void apply_dead_lines(const FaultInjector* injector, std::uint64_t route,
                       int level, ImplKind impl, RouteEngine engine,
                       std::vector<LineValue>& lines, FaultActivity* activity);
+
+/// One physical switch: the fabric holding it and its stage-switch index
+/// there (what a fabric schedule maps a full-width site to, see
+/// core/fabric_schedule.hpp).
+struct FabricSwitch {
+  Rbn* fabric = nullptr;
+  std::size_t index = 0;
+};
 
 /// The per-(level, pass) seam handed into the engines. A null injector
 /// makes every apply a no-op, so the seam doubles as plumbing for
@@ -160,31 +167,30 @@ struct PassSeam {
   const FaultInjector* injector = nullptr;
   FaultActivity* activity = nullptr;
   std::uint64_t route = 0;
-  /// Full network width, for FaultReport::n in detections raised inside
-  /// a sub-fabric (which only knows its own size).
-  std::size_t net_width = 0;
   int level = 1;
   ImplKind impl = ImplKind::Unrolled;
   RouteEngine engine = RouteEngine::Scalar;
-  /// First full-width line covered by the local fabric being patched:
-  /// b * bsn_size for the unrolled engine's per-BSN fabrics, 0 for the
-  /// feedback engine's full-width fabric.
-  std::size_t line_base = 0;
 
   bool armed() const noexcept { return injector != nullptr; }
 
-  /// Scalar engines: patch the settings of `fabric` (covering lines
-  /// [line_base, line_base + fabric.size())) for this level's `pass`.
-  void apply_local(Rbn& fabric, PassKind pass) const;
+  /// Install this level's armed faults for `pass` into the switches the
+  /// level view `lv` maps their sites to and, when `masks` is given (the
+  /// packed engine), into the stage bitmasks its datapath reads — in
+  /// lockstep, so both engines see the same faulted fabric.
+  template <typename Level>
+  void apply(const Level& lv, PassKind pass,
+             std::vector<packed::StageMasks>* masks) const {
+    if (!armed()) return;
+    for (const auto& fault :
+         injector->switch_faults(route, level, pass, impl, engine)) {
+      apply_at(lv.site(pass, fault.stage, fault.index), pass, fault, masks);
+    }
+  }
 
-  /// Packed unrolled: patch the per-BSN fabrics *and* the stage bitmasks
-  /// of the level kernel, in lockstep.
-  void apply_unrolled_packed(std::vector<Bsn>& level_bsns, PassKind pass,
-                             std::vector<packed::StageMasks>& masks) const;
-
-  /// Packed feedback: patch the full-width fabric and the stage bitmasks.
-  void apply_full_packed(Rbn& fabric, PassKind pass,
-                         std::vector<packed::StageMasks>& masks) const;
+ private:
+  void apply_at(FabricSwitch sw, PassKind pass,
+                const FaultInjector::ArmedSwitchFault& fault,
+                std::vector<packed::StageMasks>* masks) const;
 };
 
 }  // namespace brsmn::fault

@@ -32,13 +32,6 @@ struct DetectPoint {
   /// faults) had been installed when the check fired. Localization only
   /// diffs settled passes — an unsettled grid is half-written by design.
   bool fabric_settled = false;
-  /// The scalar unrolled engine routes a level block by block (both
-  /// passes per BSN); when a block-local check fires, grids of later
-  /// blocks at this level are still stale. block_size == 0 means the
-  /// whole level configures at once (feedback and packed engines), so
-  /// the settled flag covers the full width.
-  std::size_t block_base = 0;
-  std::size_t block_size = 0;
 };
 
 /// One switch whose installed setting disagrees with the recorded intent.

@@ -8,9 +8,9 @@
 // pass in {Scatter, Quasisort, Final}, stage j, switch s):
 //   active[s]   += 1 when either input line of the switch is occupied
 //   occupied[s] += the number of occupied input lines (0..2)
-// sampled at *stage entry*, so all four drivers (scalar/packed x
-// unrolled/feedback) observe the exact same line state and produce
-// bit-identical heatmaps (tests/test_packed_differential.cpp).
+// sampled at *stage entry*, so both engines over both fabric schedules
+// (scalar/packed x unrolled/feedback) observe the exact same line state
+// and produce bit-identical heatmaps (tests/test_packed_differential.cpp).
 //
 // Cost model: the packed drivers feed the heatmap straight from their
 // existing tag planes — an occupied line is any line outside the ε family
@@ -18,8 +18,8 @@
 // 64 lines plus a vertical-counter add. The counters are bit-sliced
 // (8 carry-propagate bit-planes per counter, overflow spilled into wide
 // per-line words), so the steady-state cost of a record is a handful of
-// XOR/AND per word and the hot path allocates nothing. The scalar drivers
-// pay one occupancy-scan per stage into a preallocated scratch plane.
+// XOR/AND per word and the hot path allocates nothing. The scalar engine
+// pays one occupancy-scan per stage into a preallocated scratch plane.
 //
 // Concurrency: a FabricHeatmap is single-owner — exactly one routing
 // thread records into an instance (the planes are plain words, not
@@ -83,7 +83,8 @@ class FabricHeatmap {
 
   /// Record one stage entry from scalar line state. `lines` may be a
   /// block slice starting at network line `line_offset` (the scalar
-  /// unrolled driver routes each BSN block separately); partial records
+  /// engine propagates each of the unrolled schedule's BSN fabrics
+  /// separately); partial records
   /// from all blocks of a stage sum to the same counts as one full-plane
   /// record. `line_offset` must be a multiple of lines.size().
   void record_lines(int level, PassKind pass, int stage,

@@ -338,9 +338,8 @@ TEST(FaultInjectionFullRoute, DeadLinkSweepBothEnginesAgree) {
 TEST(FaultInjectionFullRoute, FeedbackEnginesAgreeOnSwitchFaults) {
   // The feedback implementation under the same 144-site sweep: scalar
   // and packed must agree on every outcome class and every successful
-  // delivery. (Feedback localization may legitimately return no sites —
-  // the corrupted grid is overwritten by later passes — so only outcome
-  // parity is asserted here.)
+  // delivery. (Localization of these detections is asserted by
+  // FeedbackDetectionsLocalizeToTheInjectedSite.)
   const std::size_t n = 16;
   const int m = 4;
   const MulticastAssignment assignment = sweep_assignment(n);
@@ -384,6 +383,153 @@ TEST(FaultInjectionFullRoute, FeedbackEnginesAgreeOnSwitchFaults) {
   }
   EXPECT_GT(detected, 0u);
   EXPECT_GT(masked, 0u);
+}
+
+// --- schedule parity --------------------------------------------------------
+//
+// The unrolled and feedback fabrics route the same BSNs through the same
+// per-pass contracts (Eq. 2 at entry, Eq. 4 after scatter, the half-split
+// after quasisort), so a switch fault must end the same way on both —
+// delivered, or detected at the same (level, pass) — and, because the
+// contracts fire at the faulty pass, while the feedback fabric still
+// holds that pass's grid, localization names the injected switch on both.
+
+/// How one faulted route ended: delivered, or detected at (level, pass).
+struct FaultOutcome {
+  bool detected = false;
+  int level = 0;
+  std::optional<PassKind> pass;
+  std::vector<fault::FaultSiteMismatch> sites;
+
+  bool same_class_and_point(const FaultOutcome& o) const {
+    return detected == o.detected && level == o.level && pass == o.pass;
+  }
+};
+
+template <typename Net>
+FaultOutcome route_outcome(const MulticastAssignment& assignment,
+                           const fault::FaultPlan& plan, RouteEngine engine,
+                           bool explain = false) {
+  fault::FaultInjector injector(plan);
+  Net net(plan.n);
+  RouteOptions options;
+  options.engine = engine;
+  options.faults = &injector;
+  options.explain = explain;
+  FaultOutcome out;
+  try {
+    EXPECT_EQ(net.route(assignment, options).delivered,
+              expected_delivery(assignment));
+  } catch (const fault::FaultDetected& e) {
+    out.detected = true;
+    out.level = e.report().at.level;
+    out.pass = e.report().at.pass;
+    out.sites = e.report().sites;
+  }
+  return out;
+}
+
+/// Every switch site of an n-wide network x {flip, stuck-Cross,
+/// stuck-Parallel}: both engines must reach the same outcome class and
+/// detection point on the feedback fabric as on the unrolled one, and
+/// every detection must fire at the faulty (level, pass).
+void expect_schedules_agree_on_switch_faults(std::size_t n) {
+  const int m = log2_exact(n);
+  const MulticastAssignment assignment = sweep_assignment(n);
+  std::size_t sites = 0, detected = 0;
+  for (int level = 1; level <= m - 1; ++level) {
+    for (const PassKind pass : {PassKind::Scatter, PassKind::Quasisort}) {
+      for (int stage = 1; stage <= m - level + 1; ++stage) {
+        for (std::size_t sw = 0; sw < n / 2; ++sw) {
+          for (int kind = 0; kind < 3; ++kind) {
+            fault::FaultPlan plan;
+            plan.n = n;
+            fault::FaultSpec f;
+            f.kind = kind == 0 ? fault::FaultKind::TransientFlip
+                               : fault::FaultKind::StuckSetting;
+            f.stuck = kind == 1 ? SwitchSetting::Cross
+                                : SwitchSetting::Parallel;
+            f.level = level;
+            f.pass = pass;
+            f.stage = stage;
+            f.index = sw;
+            plan.faults.push_back(f);
+            SCOPED_TRACE(fault::describe(f));
+            ++sites;
+            for (const RouteEngine engine :
+                 {RouteEngine::Scalar, RouteEngine::Packed}) {
+              const FaultOutcome unrolled =
+                  route_outcome<Brsmn>(assignment, plan, engine);
+              const FaultOutcome feedback =
+                  route_outcome<FeedbackBrsmn>(assignment, plan, engine);
+              EXPECT_TRUE(feedback.same_class_and_point(unrolled))
+                  << "unrolled: detected " << unrolled.detected << " at level "
+                  << unrolled.level << "; feedback: detected "
+                  << feedback.detected << " at level " << feedback.level;
+              if (unrolled.detected) {
+                EXPECT_EQ(unrolled.level, level);
+                EXPECT_EQ(unrolled.pass, pass);
+                detected += engine == RouteEngine::Scalar;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // 2 passes x (m + (m-1) + ... + 2 stages) x n/2 switches x 3 kinds.
+  EXPECT_EQ(sites, 3 * 2 * static_cast<std::size_t>(m * (m + 1) / 2 - 1) * n /
+                       2);
+  EXPECT_GT(detected, 0u);
+}
+
+TEST(FaultInjectionFullRoute, FeedbackMatchesUnrolledSiteForSiteN16) {
+  expect_schedules_agree_on_switch_faults(16);
+}
+
+TEST(FaultInjectionFullRoute, FeedbackMatchesUnrolledSiteForSiteN64) {
+  expect_schedules_agree_on_switch_faults(64);
+}
+
+TEST(FaultInjectionFullRoute, FeedbackDetectionsLocalizeToTheInjectedSite) {
+  // The single-flip sweep on the feedback fabric with provenance on: the
+  // contracts catch each fault at its own pass, whose grid the one fabric
+  // still holds, so every report names exactly the injected switch.
+  const std::size_t n = 16;
+  const int m = 4;
+  const MulticastAssignment assignment = sweep_assignment(n);
+  std::size_t localized = 0;
+  for (int level = 1; level <= m - 1; ++level) {
+    for (const PassKind pass : {PassKind::Scatter, PassKind::Quasisort}) {
+      for (int stage = 1; stage <= m - level + 1; ++stage) {
+        for (std::size_t sw = 0; sw < n / 2; ++sw) {
+          fault::FaultPlan plan;
+          plan.n = n;
+          fault::FaultSpec f;
+          f.kind = fault::FaultKind::TransientFlip;
+          f.level = level;
+          f.pass = pass;
+          f.stage = stage;
+          f.index = sw;
+          plan.faults.push_back(f);
+          SCOPED_TRACE(fault::describe(f));
+          for (const RouteEngine engine :
+               {RouteEngine::Scalar, RouteEngine::Packed}) {
+            const FaultOutcome out = route_outcome<FeedbackBrsmn>(
+                assignment, plan, engine, /*explain=*/true);
+            if (!out.detected) continue;
+            ASSERT_EQ(out.sites.size(), 1u);
+            EXPECT_EQ(out.sites[0].level, level);
+            EXPECT_EQ(out.sites[0].pass, pass);
+            EXPECT_EQ(out.sites[0].stage, stage);
+            EXPECT_EQ(out.sites[0].index, sw);
+            ++localized;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(localized, 0u);
 }
 
 // --- SIMD backend parity ---------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <numeric>
+#include <set>
 #include <string>
 
 #include "common/rng.hpp"
@@ -16,6 +17,7 @@
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/tracer.hpp"
 #include "sim/gate_model.hpp"
 
 namespace brsmn {
@@ -224,6 +226,80 @@ TEST_P(ObsConsistencyTest, NamedPhasesSumWithinTotal) {
   for (const char* prefix : {"scalar.unrolled", "scalar.feedback",
                              "packed.unrolled", "packed.feedback", "patch"}) {
     expect_phases_within_total(registry, prefix);
+  }
+}
+
+/// The histogram and span names one (engine, schedule) pair emits
+/// through route, compile_route, patch_route and route_replay at n = 16.
+template <typename Net>
+std::pair<std::set<std::string>, std::set<std::string>> emitted_names(
+    RouteEngine engine) {
+  const std::size_t n = 16;
+  Net net(n);
+  obs::MetricRegistry registry;
+  obs::Tracer tracer;
+  RouteOptions options;
+  options.metrics = &registry;
+  options.tracer = &tracer;
+  options.engine = engine;
+  Rng rng(test_seed(41));
+  const MulticastAssignment a = random_multicast(n, 0.8, rng);
+  net.route(a, options);
+  RoutePlan plan;
+  planner::compile_route(net, a, options, plan);
+  MulticastAssignment b = a;
+  std::size_t free_out = 0;
+  while (free_out < n && b.output_claimed(free_out)) ++free_out;
+  if (free_out < n) b.connect(0, free_out);
+  RoutePlan patched;
+  EXPECT_TRUE(planner::patch_route(net, b, plan, options, patched).patched);
+  net.route_replay(plan, options);
+
+  std::set<std::string> histograms;
+  for (const auto& [name, h] : registry.snapshot().histograms) {
+    histograms.insert(name);
+  }
+  std::set<std::string> spans;
+  for (const obs::CollectedEvent& e : tracer.collect()) {
+    if (e.kind == obs::TraceEventKind::Begin) spans.insert(e.name);
+  }
+  return {histograms, spans};
+}
+
+TEST(ObsConsistency, EveryDriverKeepsItsMetricAndSpanNames) {
+  // The service benchmark reads route.phase.*_ns, the bench baselines key
+  // their families on these prefixes, and trace tooling keys on the span
+  // names: every (engine, schedule) pair must emit exactly these.
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  const std::set<std::string> histograms{
+      "route.phase.advance_ns",    "route.phase.datapath_ns",
+      "route.phase.eps_divide_ns", "route.phase.patch_ns",
+      "route.phase.quasisort_ns",  "route.phase.replay_ns",
+      "route.phase.scatter_ns",    "route.phase.self_check_ns",
+      "route.phase.total_ns"};
+  const std::set<std::string> common{"level.1", "level.2", "level.3",
+                                     "level.final", "plan.patch",
+                                     "plan.replay"};
+  const auto with = [&common](std::initializer_list<const char*> names) {
+    std::set<std::string> out = common;
+    out.insert(names.begin(), names.end());
+    return out;
+  };
+  const std::set<std::string> unrolled =
+      with({"brsmn.route", "bsn.scatter.config", "bsn.scatter.datapath",
+            "bsn.eps_divide", "bsn.quasisort.config",
+            "bsn.quasisort.datapath"});
+  const std::set<std::string> feedback =
+      with({"feedback.route", "fb.scatter.config", "fb.scatter.datapath",
+            "fb.eps_divide", "fb.quasisort.config", "fb.quasisort.datapath"});
+  for (const RouteEngine engine : {RouteEngine::Scalar, RouteEngine::Packed}) {
+    SCOPED_TRACE(engine == RouteEngine::Scalar ? "scalar" : "packed");
+    const auto [uh, us] = emitted_names<Brsmn>(engine);
+    EXPECT_EQ(uh, histograms);
+    EXPECT_EQ(us, unrolled);
+    const auto [fh, fs] = emitted_names<FeedbackBrsmn>(engine);
+    EXPECT_EQ(fh, histograms);
+    EXPECT_EQ(fs, feedback);
   }
 }
 
