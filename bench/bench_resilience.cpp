@@ -33,9 +33,12 @@ void self_check_bench(benchmark::State& state, bool checked) {
   brsmn::Brsmn net(n);
   brsmn::Rng rng(1);
   const auto a = brsmn::random_multicast(n, 0.9, rng);
+  // The checked/unchecked overhead gate is specified on the scalar
+  // reference engine.
   brsmn::RouteOptions options;
   options.metrics = g_metrics;
   options.tracer = g_tracer;
+  options.engine = brsmn::RouteEngine::Scalar;
   options.self_check = checked;
   options.metrics_prefix = checked ? "checked.route" : "unchecked.route";
   for (auto _ : state) {

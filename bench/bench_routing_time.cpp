@@ -25,10 +25,13 @@ namespace {
 brsmn::obs::MetricRegistry* g_metrics = nullptr;  // set when --metrics-out
 brsmn::obs::Tracer* g_tracer = nullptr;           // set when --trace-out
 
+// The route.* families (and the CI route.phase.total_ns gate against
+// BENCH_baseline.json) measure the scalar reference engine.
 brsmn::RouteOptions route_options() {
   brsmn::RouteOptions options;
   options.metrics = g_metrics;
   options.tracer = g_tracer;
+  options.engine = brsmn::RouteEngine::Scalar;
   return options;
 }
 

@@ -119,7 +119,7 @@ struct ClusterConfig {
   /// Per-shard ingress queue bound; submit() blocks when full.
   std::size_t queue_capacity = 64;
   /// Primary datapath engine for every shard's routers.
-  RouteEngine engine = RouteEngine::Scalar;
+  RouteEngine engine = RouteEngine::Packed;
   /// Retry/fallback policy per router. jitter_seed is re-derived per
   /// worker from `seed` (mixed with the user's jitter_seed), so workers
   /// never share a jitter stream.

@@ -54,9 +54,9 @@ class ParallelRouter {
   /// detach. Applies to subsequent route_batch calls.
   void set_metrics(obs::MetricRegistry* metrics);
 
-  /// Select the datapath engine the workers route with (default Scalar).
-  /// Packed composes the worker-level parallelism of this class with the
-  /// word-level parallelism of core/packed_kernel.hpp. Applies to
+  /// Select the datapath engine the workers route with (default Packed,
+  /// which composes the worker-level parallelism of this class with the
+  /// word-level parallelism of core/packed_kernel.hpp). Applies to
   /// subsequent route_batch calls.
   void set_engine(RouteEngine engine);
   RouteEngine engine() const noexcept { return engine_; }
@@ -120,7 +120,7 @@ class ParallelRouter {
   EnginePool<Brsmn> pool_;
   obs::MetricRegistry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
-  RouteEngine engine_ = RouteEngine::Scalar;
+  RouteEngine engine_ = RouteEngine::Packed;
   fault::FaultInjector* faults_ = nullptr;
   bool self_check_ = true;
   PlanCache* plan_cache_ = nullptr;

@@ -108,7 +108,7 @@ std::chrono::microseconds backoff_for_attempt(const RetryPolicy& policy,
 
 struct ResilientOptions {
   /// Primary datapath engine; the ladder may add Scalar as fallback.
-  RouteEngine engine = RouteEngine::Scalar;
+  RouteEngine engine = RouteEngine::Packed;
   RetryPolicy retry{};
   /// Online self-check for every attempt (default on; a fault injector
   /// implies it regardless).

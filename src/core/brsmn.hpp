@@ -95,15 +95,19 @@ struct RouteOptions {
   /// the tracer's flight-recorder rings (see obs/tracer.hpp). Null keeps
   /// the hot path span-free; BRSMN_OBS_DISABLED builds ignore it.
   obs::Tracer* tracer = nullptr;
-  /// Datapath implementation; Scalar is the reference engine.
-  RouteEngine engine = RouteEngine::Scalar;
+  /// Datapath implementation. Packed (the default) is the word-parallel
+  /// engine, bit-identical to Scalar in outputs, stats, fabric grids and
+  /// explanations (tests/test_packed_differential); Scalar is the
+  /// per-line reference engine and the fallback rung of the resilient
+  /// router's ladder.
+  RouteEngine engine = RouteEngine::Packed;
   /// SIMD backend for the packed engine's word loops (cold routes,
   /// replays, and patches alike). Auto resolves BRSMN_FORCE_BACKEND, then
-  /// the widest instruction set the CPU supports, falling back to the
-  /// always-compiled portable SWAR backend. Every backend produces
-  /// bit-identical results and plan checkpoints — a plan compiled under
-  /// one backend replays under any other (tests/test_simd_differential) —
-  /// so this knob affects throughput only. Ignored by the scalar engine.
+  /// AVX2 when the CPU supports it, falling back to the always-compiled
+  /// portable SWAR backend. Both backends produce bit-identical results
+  /// and plan checkpoints — a plan compiled under one replays under the
+  /// other (tests/test_simd_differential) — so this knob affects
+  /// throughput only. Ignored by the scalar engine.
   simd::Backend simd_backend = simd::Backend::Auto;
   /// Online self-check (default on): contract violations surface as
   /// typed fault::FaultDetected reports naming the earliest inconsistent

@@ -38,8 +38,8 @@ constexpr std::size_t words_for(std::size_t n) {
 }
 
 /// Storage stride of one plane: words_for(n) rounded up to a whole
-/// 512-bit vector (simd::kPlaneStrideWords), so every backend's stage
-/// loop runs whole vectors with no tail. The pad words past words_for(n)
+/// 512-bit tile (simd::kPlaneStrideWords), so every backend's stage
+/// loop runs whole tiles with no tail. The pad words past words_for(n)
 /// are zero at all times — maintained by every primitive here and relied
 /// on by the backend kernels and the plan checkpoint format (a stored
 /// plan's packed snapshots are stride-padded and identical no matter
@@ -173,8 +173,8 @@ void apply_stage(PackedLines& state, PackedLines& scratch,
                  const StageMasks& masks, std::size_t pair_distance,
                  const simd::SimdOps& ops);
 
-/// apply_stage through the auto-selected backend (BRSMN_FORCE_BACKEND or
-/// the widest the CPU supports).
+/// apply_stage through the auto-selected backend (BRSMN_FORCE_BACKEND,
+/// else AVX2 when the CPU has it, else portable).
 void apply_stage(PackedLines& state, PackedLines& scratch,
                  const StageMasks& masks, std::size_t pair_distance);
 

@@ -65,7 +65,7 @@ class QueuedMulticastSwitch {
     /// against the routing timeline in the Chrome trace.
     obs::Tracer* tracer = nullptr;
     /// Primary routing engine for the fabric (fallbacks per `retry`).
-    RouteEngine engine = RouteEngine::Scalar;
+    RouteEngine engine = RouteEngine::Packed;
     /// Online self-check for every route (see core/brsmn.hpp).
     bool self_check = true;
     /// Fault-injection seam, handed to the resilient router. Null: no

@@ -50,11 +50,12 @@ TEST(Chaos, ControlRunDrainsCleanly) {
   EXPECT_EQ(summary.epochs.size(), summary.epochs_run);
 }
 
-TEST(Chaos, TransientWindowRecoversAndDrains) {
+void check_transient_window(RouteEngine engine) {
   // Flips active for a band of route ordinals early in the run: the
   // resilient router detects and retries through them, the switch keeps
   // every cell, and once the window closes the backlog drains.
   ChaosConfig config = base_config();
+  config.engine = engine;
   config.plan.n = config.ports;
   // Periodic flips so retries (which consume route ordinals) land on
   // clean ordinals in between.
@@ -76,13 +77,14 @@ TEST(Chaos, TransientWindowRecoversAndDrains) {
   EXPECT_EQ(summary.faults_gaveup, 0u);
 }
 
-TEST(Chaos, DeadLinkWindowAbortsThenHeals) {
+void check_dead_link_window(RouteEngine engine) {
   // An always-on dead link for the first chunk of the run defeats every
   // fallback whenever the scheduler admits traffic on that line, so
   // those epochs abort and the backlog grows. The drop policy bounds the
   // damage, and after the window closes the switch must drain. Every
   // lost cell is accounted for.
   ChaosConfig config = base_config();
+  config.engine = engine;
   config.seed = 5;
   config.max_cell_age = 3;
   config.plan.n = config.ports;
@@ -118,6 +120,23 @@ TEST(Chaos, DeadLinkWindowAbortsThenHeals) {
   }
 }
 
+TEST(Chaos, TransientWindowRecoversAndDrains) {
+  check_transient_window(ChaosConfig{}.engine);
+}
+
+TEST(Chaos, ScalarEngineTransientWindowRecoversAndDrains) {
+  // Scalar primary: the ladder is [scalar unrolled] -> [scalar feedback].
+  check_transient_window(RouteEngine::Scalar);
+}
+
+TEST(Chaos, DeadLinkWindowAbortsThenHeals) {
+  check_dead_link_window(ChaosConfig{}.engine);
+}
+
+TEST(Chaos, ScalarEngineDeadLinkWindowAbortsThenHeals) {
+  check_dead_link_window(RouteEngine::Scalar);
+}
+
 TEST(Chaos, SameSeedSameStory) {
   ChaosConfig config = base_config();
   config.plan.n = config.ports;
@@ -143,9 +162,9 @@ TEST(Chaos, SameSeedSameStory) {
 }
 
 TEST(Chaos, PackedEngineRunsTheSameSchedule) {
-  // The packed engine honors the same fault plan; the run still
-  // conserves and drains (per-epoch outcomes may differ from scalar
-  // because the ladder's rung order differs).
+  // The packed engine, pinned explicitly so the case survives a change
+  // of default, honors a fault plan on another switch; the run still
+  // conserves and drains.
   ChaosConfig config = base_config();
   config.engine = RouteEngine::Packed;
   config.plan.n = config.ports;

@@ -262,6 +262,7 @@ TEST(FaultInjectionFullRoute, DetectedFaultsLocalizeToTheInjectedSite) {
           fault::FaultInjector injector(plan);
           Brsmn net(n);
           RouteOptions options;
+          options.engine = RouteEngine::Scalar;
           options.faults = &injector;
           options.explain = true;
           try {

@@ -349,6 +349,7 @@ TEST(PackedDifferential, ParallelRouterComposesWorkerAndWordParallelism) {
   }
   api::ParallelRouter scalar_router(n, 4);
   api::ParallelRouter packed_router(n, 4);
+  scalar_router.set_engine(RouteEngine::Scalar);
   packed_router.set_engine(RouteEngine::Packed);
   const auto scalar_results = scalar_router.route_batch(batch);
   const auto packed_results = packed_router.route_batch(batch);

@@ -232,6 +232,7 @@ TEST(ResilientRouter, CleanRouteDeliversOnPrimaryPath) {
 
 TEST(ResilientRouter, LadderShape) {
   ResilientOptions scalar_opts;
+  scalar_opts.engine = RouteEngine::Scalar;
   EXPECT_EQ(ResilientRouter(16, scalar_opts).ladder(),
             (std::vector<RoutePath>{{RouteEngine::Scalar, false},
                                     {RouteEngine::Scalar, true}}));
@@ -264,6 +265,7 @@ TEST(ResilientRouter, TransientFaultRecoversOnRetry) {
   fault::FaultInjector injector(fault::FaultPlan{n, {f}});
   obs::MetricRegistry registry;
   ResilientOptions options;
+  options.engine = RouteEngine::Scalar;
   options.faults = &injector;
   options.metrics = &registry;
   ResilientRouter router(n, options);
@@ -296,6 +298,7 @@ TEST(ResilientRouter, ImplScopedFaultDegradesToFeedback) {
 
   fault::FaultInjector injector(fault::FaultPlan{n, {f}});
   ResilientOptions options;
+  options.engine = RouteEngine::Scalar;
   options.faults = &injector;
   ResilientRouter router(n, options);
 
@@ -324,6 +327,7 @@ TEST(ResilientRouter, UnrecoverableFaultFailsWithReport) {
 
   fault::FaultInjector injector(fault::FaultPlan{n, {f}});
   ResilientOptions options;
+  options.engine = RouteEngine::Scalar;
   options.faults = &injector;
   options.retry.initial_backoff = std::chrono::microseconds{1};
   ResilientRouter router(n, options);

@@ -41,7 +41,6 @@ std::string backend_tag(simd::Backend b) { return simd::to_string(b); }
 // --- dispatch layer --------------------------------------------------------
 
 TEST(SimdDispatch, PortableIsAlwaysCompiledAndAvailable) {
-  EXPECT_TRUE(simd::compiled(simd::Backend::Portable));
   EXPECT_TRUE(simd::available(simd::Backend::Portable));
   const auto avail = backends();
   ASSERT_FALSE(avail.empty());
@@ -62,11 +61,8 @@ TEST(SimdDispatch, AvailableBackendsResolveToThemselves) {
 }
 
 TEST(SimdDispatch, UnavailableRequestsDegradeToPortable) {
-  for (const simd::Backend b : {simd::Backend::Avx2, simd::Backend::Avx512,
-                                simd::Backend::Neon}) {
-    if (!simd::available(b)) {
-      EXPECT_EQ(simd::ops(b).kind, simd::Backend::Portable) << backend_tag(b);
-    }
+  if (!simd::available(simd::Backend::Avx2)) {
+    EXPECT_EQ(simd::ops(simd::Backend::Avx2).kind, simd::Backend::Portable);
   }
 }
 
@@ -76,18 +72,35 @@ TEST(SimdDispatch, AutoResolvesToAnAvailableBackend) {
   EXPECT_TRUE(simd::available(o.kind)) << backend_tag(o.kind);
 }
 
+TEST(SimdDispatch, AutoResolvesToAvx2WhenAvailableElsePortable) {
+  // Unless BRSMN_FORCE_BACKEND pins it, Auto picks AVX2 on every host
+  // that has it and the portable SWAR backend everywhere else.
+  if (simd::forced() != simd::Backend::Auto) {
+    GTEST_SKIP() << "BRSMN_FORCE_BACKEND pins the Auto resolution";
+  }
+  const simd::Backend expected = simd::available(simd::Backend::Avx2)
+                                     ? simd::Backend::Avx2
+                                     : simd::Backend::Portable;
+  EXPECT_EQ(simd::detect(), expected);
+  EXPECT_EQ(simd::ops(simd::Backend::Auto).kind, expected);
+}
+
 TEST(SimdDispatch, ParseRoundTripsEveryBackendName) {
   for (const simd::Backend b :
-       {simd::Backend::Auto, simd::Backend::Portable, simd::Backend::Avx2,
-        simd::Backend::Avx512, simd::Backend::Neon}) {
+       {simd::Backend::Auto, simd::Backend::Portable, simd::Backend::Avx2}) {
     const auto parsed = simd::parse(simd::to_string(b));
     ASSERT_TRUE(parsed.has_value()) << backend_tag(b);
     EXPECT_EQ(*parsed, b);
   }
   EXPECT_EQ(simd::parse("swar"), simd::Backend::Portable);
-  EXPECT_EQ(simd::parse("avx-512"), simd::Backend::Avx512);
   EXPECT_FALSE(simd::parse("sse9").has_value());
   EXPECT_FALSE(simd::parse("").has_value());
+}
+
+TEST(SimdDispatch, RemovedBackendNamesDoNotParse) {
+  EXPECT_FALSE(simd::parse("avx512").has_value());
+  EXPECT_FALSE(simd::parse("avx-512").has_value());
+  EXPECT_FALSE(simd::parse("neon").has_value());
 }
 
 TEST(SimdDispatch, ForcedEnvironmentOverrideIsHonored) {
@@ -394,6 +407,7 @@ TEST(SimdDifferentialObs, HeatmapsBitIdenticalAcrossBackends) {
     {
       Brsmn net(n);
       RouteOptions options;
+      options.engine = RouteEngine::Scalar;
       options.heatmap = &reference;
       for (const auto& a : batch) net.route(a, options);
     }
