@@ -11,10 +11,15 @@
 // families also count heap allocations across steady-state replays into
 // the warm.*.replay_allocs counters, giving CI its alloc-count=0 gate.
 //
-// Each family resets its own metric prefix at benchmark entry
+// Each family resets its own metric prefix when it first runs at a size
 // (MetricRegistry::reset(prefix)), so the exported histograms describe
 // exactly the last size the family ran — at the CI filter that is
-// n=1024 — instead of pooling every size.
+// n=1024 — instead of pooling every size, while the repetitions of that
+// size pool: with --benchmark_repetitions=5
+// --benchmark_enable_random_interleaving=true (as CI runs it) the warm
+// and cold samples of a ratio spread over the same stretch of wall time.
+// (Interleaving several sizes keeps only each family's last run of one
+// size, so filter to one size when interleaving.)
 //
 // --metrics-out=<path> / --trace-out=<path> as in bench_routing_time.
 #include <benchmark/benchmark.h>
@@ -23,7 +28,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <map>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "api/plan_cache.hpp"
@@ -65,13 +72,20 @@ namespace {
 brsmn::obs::MetricRegistry* g_metrics = nullptr;  // set when --metrics-out
 brsmn::obs::Tracer* g_tracer = nullptr;           // set when --trace-out
 
-brsmn::RouteOptions family_options(std::string_view prefix) {
+/// The options of one family's run at size n; resets the family's
+/// prefix when the family last ran at another size (or never ran).
+brsmn::RouteOptions family_options(std::string_view prefix, std::size_t n) {
+  static std::map<std::string, std::size_t, std::less<>> last_size;
   brsmn::RouteOptions options;
   options.metrics = g_metrics;
   options.tracer = g_tracer;
   options.engine = brsmn::RouteEngine::Packed;
   options.metrics_prefix = prefix;
-  if (g_metrics != nullptr) g_metrics->reset(prefix);
+  const auto [it, first] = last_size.try_emplace(std::string(prefix), n);
+  if (g_metrics != nullptr && (first || it->second != n)) {
+    g_metrics->reset(prefix);
+  }
+  it->second = n;
   return options;
 }
 
@@ -104,7 +118,7 @@ void BM_ColdUnrolledRoute(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   brsmn::Brsmn net(n);
   const auto a = bench_assignment(n);
-  const auto options = family_options("cold.route");
+  const auto options = family_options("cold.route", n);
   for (auto _ : state) {
     auto result = net.route(a, options);
     benchmark::DoNotOptimize(result);
@@ -118,7 +132,7 @@ void BM_WarmUnrolledReplay(benchmark::State& state) {
   const auto a = bench_assignment(n);
   brsmn::RoutePlan plan;
   brsmn::planner::compile_route(net, a, {}, plan);
-  const auto options = family_options("warm.route");
+  const auto options = family_options("warm.route", n);
   brsmn::RouteResult out;
   for (auto _ : state) {
     net.route_replay_into(plan, options, out);
@@ -134,7 +148,7 @@ void BM_ColdFeedbackRoute(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   brsmn::FeedbackBrsmn net(n);
   const auto a = bench_assignment(n);
-  const auto options = family_options("cold.feedback");
+  const auto options = family_options("cold.feedback", n);
   for (auto _ : state) {
     auto result = net.route(a, options);
     benchmark::DoNotOptimize(result);
@@ -148,7 +162,7 @@ void BM_WarmFeedbackReplay(benchmark::State& state) {
   const auto a = bench_assignment(n);
   brsmn::RoutePlan plan;
   brsmn::planner::compile_route(net, a, {}, plan);
-  const auto options = family_options("warm.feedback");
+  const auto options = family_options("warm.feedback", n);
   brsmn::RouteResult out;
   for (auto _ : state) {
     net.route_replay_into(plan, options, out);

@@ -4,7 +4,7 @@
 // multicast workloads, where a connection pattern persists across many
 // cells — re-runs the full configuration pipeline every time. The cache
 // keys compiled plans by the exact (assignment, implementation) pair, so
-// a repeat route degenerates to route_replay: install the stored
+// a repeat route degenerates to route_replay: load the stored
 // settings and drive the datapath.
 //
 // Keys are canonical: a 64-bit FNV-1a hash of the destination lists

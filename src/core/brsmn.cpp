@@ -172,7 +172,10 @@ void deliver_final_level(std::span<const Tag> tags,
       delivered, stats, explain);
 }
 
-Brsmn::Brsmn(std::size_t n) : n_(n), m_(log2_exact(n)) {
+Brsmn::Brsmn(std::size_t n)
+    : n_(n),
+      m_(log2_exact(n)),
+      ledger_(std::make_unique<pkern::SettingsLedger>(n, m_)) {
   BRSMN_EXPECTS(n >= 2);
   for (int k = 1; k <= m_ - 1; ++k) {
     const std::size_t bsn_size = n_ >> (k - 1);
@@ -219,6 +222,9 @@ RouteResult scalar_route(const Schedule& sched,
   obs::PhaseTimer total_timer(probe.total);
   obs::PerfScope total_perf(probe.profiler, probe.perf_total);
   obs::TraceSpan route_span(probe.tracer, Schedule::kRouteSpan);
+  // This route writes the grids directly: settle the packed engine's
+  // pending writes first, so no later read re-derives them over it.
+  sched.derive_grids();
 
   RouteResult result;
   result.delivered.assign(n, std::nullopt);
@@ -350,6 +356,7 @@ std::size_t Brsmn::depth() const {
 
 const std::vector<Bsn>& Brsmn::level_bsns(int level) const {
   BRSMN_EXPECTS(level >= 1 && level <= m_ - 1);
+  schedule().derive_grids();
   return levels_[static_cast<std::size_t>(level - 1)];
 }
 

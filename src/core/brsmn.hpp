@@ -43,6 +43,7 @@ class PlanCache;
 namespace brsmn::pkern {
 struct ReplayWorkspace;
 struct CompileWorkspace;
+class SettingsLedger;
 }  // namespace brsmn::pkern
 
 namespace brsmn::sched {
@@ -254,20 +255,22 @@ class Brsmn {
   std::size_t depth() const;
 
   /// The BSNs of one level (1-based, level < levels()), exposed for
-  /// inspection after route().
+  /// inspection after route(). Their grids are brought up to date with
+  /// the packed engine's settings here, so they read the same whichever
+  /// engine routed; the reference is valid until the next route.
   const std::vector<Bsn>& level_bsns(int level) const;
 
  private:
-  /// The packed engine's entry point (core/packed_kernel.cpp); it installs
-  /// the computed settings into levels_ so level_bsns() inspection sees
-  /// the same grids the scalar engine would have produced. A non-null
-  /// `plan` additionally captures the compiled route plan.
+  /// The packed engine's entry point (core/packed_kernel.cpp); it keeps
+  /// the computed settings in ledger_, from which level_bsns() derives
+  /// the grids the scalar engine would have produced. A non-null `plan`
+  /// additionally captures the compiled route plan.
   friend RouteResult packed_route(Brsmn& net,
                                   const MulticastAssignment& assignment,
                                   const RouteOptions& options,
                                   RoutePlan* plan);
-  /// The incremental recompiler (also core/packed_kernel.cpp) reuses the
-  /// same per-level install paths into levels_.
+  /// The incremental recompiler (also core/packed_kernel.cpp) writes
+  /// ledger_ the same way.
   friend planner::PatchOutcome planner::patch_route(
       Brsmn& net, const MulticastAssignment& assignment, const RoutePlan& base,
       const RouteOptions& options, RoutePlan& out,
@@ -275,11 +278,15 @@ class Brsmn {
 
   /// The unrolled fabric schedule over levels_ (core/fabric_schedule.hpp):
   /// every engine's level driver reaches the fabrics through it.
-  sched::UnrolledSchedule schedule();
+  sched::UnrolledSchedule schedule() const;
 
   std::size_t n_;
   int m_;
-  std::vector<std::vector<Bsn>> levels_;  // levels_[k-1], k = 1..m-1
+  /// levels_[k-1], k = 1..m-1. Mutable: the grids are a view of ledger_
+  /// that the const readers bring up to date.
+  mutable std::vector<std::vector<Bsn>> levels_;
+  /// The packed engine's settings store (core/level_kernel.hpp).
+  std::unique_ptr<pkern::SettingsLedger> ledger_;
   /// Lazily created by route_replay; owning it here keeps steady-state
   /// replay allocation-free.
   std::unique_ptr<pkern::ReplayWorkspace> replay_ws_;

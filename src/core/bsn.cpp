@@ -158,7 +158,7 @@ void route_level(const Level& lv, std::vector<LineValue>& lines,
                     "Eq. (3) guarantees eps dominates at the BSN root");
               });
   });
-  seam.apply(lv, PassKind::Scatter, nullptr);
+  seam.apply(lv, PassKind::Scatter, {});
   fault::guard(run.checking, n, run.route_ord, k, PassKind::Scatter, true,
                [&] {
     {
@@ -214,7 +214,7 @@ void route_level(const Level& lv, std::vector<LineValue>& lines,
                 configure_quasisort(fabric, S, lb, slice, &stats, sink);
               });
   });
-  seam.apply(lv, PassKind::Quasisort, nullptr);
+  seam.apply(lv, PassKind::Quasisort, {});
   fault::guard(run.checking, n, run.route_ord, k, PassKind::Quasisort, true,
                [&] {
     {

@@ -7,16 +7,24 @@
 // every BSN its own scatter and quasisort fabric, while the feedback
 // network reuses one n-wide fabric, reset to parallel before every pass,
 // whose stages above the level's BSN depth stay identity wiring. A
-// schedule captures that difference once — the settings install, the
-// fault-seam target, the cost accounting and the span names — so each
-// engine has one level body and one route driver over either schedule.
+// schedule captures that difference once — which grid a pass's settings
+// show in, the fault-seam target, the cost accounting and the span names
+// — so each engine has one level body and one route driver over either
+// schedule.
+//
+// The two engines store settings differently. The scalar engine writes
+// its decisions straight into the Rbn grids. The packed engine keeps
+// them only as (su, sl) stage masks in the network's SettingsLedger
+// (core/level_kernel.hpp), one slot per (level, pass); derive_grids()
+// decodes the slots written since the last read into the grids when
+// something reads them — level_bsns(), fabric(), fault localization —
+// so the grids read the same whichever engine routed.
 //
 // Level views address switches the way the explanation grid and the
 // fault plans do: stage j of level k holds n/2 switches in the full-width
 // stage-switch order of a size-n RBN, and a physical fabric of width w
 // covers lines [i*w, (i+1)*w). Schedules are resolved at compile time
-// (the drivers are templates over them), so the per-run installs inside
-// the configuration sweeps stay inlinable.
+// (the drivers are templates over them).
 #pragma once
 
 #include <cstddef>
@@ -28,6 +36,7 @@
 #include "core/brsmn.hpp"
 #include "core/bsn.hpp"
 #include "core/feedback.hpp"
+#include "core/level_kernel.hpp"
 #include "core/rbn.hpp"
 #include "core/stats.hpp"
 #include "fault/fault_injector.hpp"
@@ -45,32 +54,38 @@ struct SpanNames {
   const char* quasisort_datapath;
 };
 
-/// Switch addressing shared by both level views. `Level` provides
-/// fabric(pass, i) and fabric_stages() (log2 of each fabric's width).
+/// Switch addressing and settings storage shared by both level views of
+/// level k. `Level` provides fabric(pass, i) and fabric_stages() (log2 of
+/// each fabric's width).
 template <typename Level>
 class LevelOps {
  public:
-  /// Set switches [first, first + count) of level-wide block `g` at stage
-  /// `j` (blocks of 2^j lines) to `s` — one contiguous fill.
-  void fill_run(PassKind pass, int j, std::size_t g, std::size_t first,
-                std::size_t count, SwitchSetting s) const {
-    const int shift = self().fabric_stages() - j;  // stage-j blocks per fabric
-    self().fabric(pass, g >> shift).fill_block_run(
-        j, g & ((std::size_t{1} << shift) - 1), first, count, s);
+  LevelOps(int level, pkern::SettingsLedger* ledger)
+      : level_(level), ledger_(ledger) {}
+
+  int level() const { return level_; }
+
+  /// The pass's ledger slot (its S stage masks), claimed for writing: the
+  /// packed engine's compile, patch and replay keep a pass's settings
+  /// here and nowhere else.
+  std::span<packed::StageMasks> masks(PassKind pass) const {
+    return ledger_->write(level_, pass);
   }
 
-  /// Install a stored pass: rows[j-1] holds stage j's n/2 settings in
-  /// fill_run's order, so each fabric takes its contiguous slice.
-  void install(PassKind pass,
-               const std::vector<std::vector<SwitchSetting>>& rows) const {
+  /// Decode the pass's ledger slot into its grids (after the feedback
+  /// fabric's reset, which leaves the stages above S parallel).
+  void derive(PassKind pass) const {
     self().begin_pass(pass);
-    const std::size_t half = std::size_t{1} << (self().fabric_stages() - 1);
-    for (std::size_t i = 0; i < self().fabric_count(); ++i) {
-      Rbn& fabric = self().fabric(pass, i);
-      for (std::size_t j = 0; j < rows.size(); ++j) {
-        fabric.install_stage(static_cast<int>(j + 1),
-                             std::span<const SwitchSetting>(rows[j]).subspan(
-                                 i * half, half));
+    const auto masks = ledger_->masks(level_, pass);
+    const std::size_t switches = self().fabric_count()
+                                 << (self().fabric_stages() - 1);
+    for (int j = 1; j <= static_cast<int>(masks.size()); ++j) {
+      const packed::StageMasks& mk = masks[static_cast<std::size_t>(j - 1)];
+      for (std::size_t sw = 0; sw < switches; ++sw) {
+        const fault::FabricSwitch at = site(pass, j, sw);
+        at.fabric->set(j, at.index,
+                       mk.setting(fault::fault_site_upper_line(j, sw),
+                                  std::size_t{1} << (j - 1)));
       }
     }
   }
@@ -86,6 +101,11 @@ class LevelOps {
 
  private:
   const Level& self() const { return static_cast<const Level&>(*this); }
+
+  int level_;
+  /// Null for a view the packed engine never routes (a lone Bsn's scalar
+  /// route).
+  pkern::SettingsLedger* ledger_;
 };
 
 /// Level k of the unrolled network: 2^(k-1) BSNs side by side.
@@ -99,10 +119,12 @@ class UnrolledLevel : public LevelOps<UnrolledLevel> {
       "bsn.scatter.config", "bsn.scatter.datapath", "bsn.eps_divide",
       "bsn.quasisort.config", "bsn.quasisort.datapath"};
 
-  UnrolledLevel(std::span<Bsn> bsns, int level)
-      : bsns_(bsns), level_(level), stages_(log2_exact(bsns.front().size())) {}
+  UnrolledLevel(std::span<Bsn> bsns, int level,
+                pkern::SettingsLedger* ledger = nullptr)
+      : LevelOps(level, ledger),
+        bsns_(bsns),
+        stages_(log2_exact(bsns.front().size())) {}
 
-  int level() const { return level_; }
   /// S: log2 of the level's BSN size.
   int stages() const { return stages_; }
   /// Stages a pass's datapath crosses: the BSN fabric's own.
@@ -125,7 +147,6 @@ class UnrolledLevel : public LevelOps<UnrolledLevel> {
 
  private:
   std::span<Bsn> bsns_;
-  int level_;
   int stages_;
 };
 
@@ -140,10 +161,11 @@ class FeedbackLevel : public LevelOps<FeedbackLevel> {
       "fb.scatter.config", "fb.scatter.datapath", "fb.eps_divide",
       "fb.quasisort.config", "fb.quasisort.datapath"};
 
-  FeedbackLevel(Rbn& fabric, int level)
-      : fabric_(&fabric), level_(level), stages_(fabric.stages() - level + 1) {}
+  FeedbackLevel(Rbn& fabric, int level, pkern::SettingsLedger& ledger)
+      : LevelOps(level, &ledger),
+        fabric_(&fabric),
+        stages_(fabric.stages() - level + 1) {}
 
-  int level() const { return level_; }
   int stages() const { return stages_; }
   int fabric_stages() const { return fabric_->stages(); }
   std::size_t fabric_count() const { return 1; }
@@ -160,7 +182,6 @@ class FeedbackLevel : public LevelOps<FeedbackLevel> {
 
  private:
   Rbn* fabric_;
-  int level_;
   int stages_;
 };
 
@@ -169,15 +190,26 @@ class UnrolledSchedule {
   using Level = UnrolledLevel;
   static constexpr const char* kRouteSpan = "brsmn.route";
 
-  UnrolledSchedule(std::vector<std::vector<Bsn>>& levels, std::size_t n, int m)
-      : levels_(&levels), n_(n), m_(m) {}
+  UnrolledSchedule(std::vector<std::vector<Bsn>>& levels, std::size_t n, int m,
+                   pkern::SettingsLedger& ledger)
+      : levels_(&levels), n_(n), m_(m), ledger_(&ledger) {}
 
   std::size_t size() const { return n_; }
   int levels() const { return m_; }
   Level level(int k) const {
-    return {(*levels_)[static_cast<std::size_t>(k - 1)], k};
+    return {(*levels_)[static_cast<std::size_t>(k - 1)], k, ledger_};
   }
   void charge_final(RoutingStats&) const {}
+
+  /// Bring the BSN grids up to date: every BSN keeps its own grids, so
+  /// each pass the packed engine wrote since the last call is derived.
+  void derive_grids() const {
+    for (int k = 1; k <= m_ - 1; ++k) {
+      for (const PassKind pass : {PassKind::Scatter, PassKind::Quasisort}) {
+        if (ledger_->take(k, pass)) level(k).derive(pass);
+      }
+    }
+  }
 
   /// Whether (level, kind)'s grid holds its installed settings at the
   /// detection point: every BSN keeps its grids for the whole route, so
@@ -193,6 +225,7 @@ class UnrolledSchedule {
   std::vector<std::vector<Bsn>>* levels_;
   std::size_t n_;
   int m_;
+  pkern::SettingsLedger* ledger_;
 };
 
 class FeedbackSchedule {
@@ -200,20 +233,29 @@ class FeedbackSchedule {
   using Level = FeedbackLevel;
   static constexpr const char* kRouteSpan = "feedback.route";
 
-  explicit FeedbackSchedule(Rbn& fabric) : fabric_(&fabric) {}
+  FeedbackSchedule(Rbn& fabric, pkern::SettingsLedger& ledger)
+      : fabric_(&fabric), ledger_(&ledger) {}
 
   std::size_t size() const { return fabric_->size(); }
   int levels() const { return fabric_->stages(); }
-  Level level(int k) const { return {*fabric_, k}; }
+  Level level(int k) const { return {*fabric_, k, *ledger_}; }
   /// The final 2x2 level is one more pass over the fabric's stage 1.
   void charge_final(RoutingStats& stats) const { ++stats.fabric_passes; }
+
+  /// Bring the one fabric up to date: it shows only the pass written
+  /// last, so that pass alone is derived, once after each write.
+  void derive_grids() const {
+    const int k = ledger_->resident_level();
+    const PassKind pass = ledger_->resident_pass();
+    if (ledger_->take(k, pass)) level(k).derive(pass);
+  }
 
   /// Only the pass resident in the one fabric at the detection point
   /// holds its grid; earlier passes were overwritten. The final level
   /// never touches the fabric, so a delivery-time detection still sees
   /// the last quasisort grid. (An unsettled resident pass diffs clean by
-  /// construction: intent and fabric are written in lockstep over a reset
-  /// fabric, before injection.)
+  /// construction: intent and settings are written in lockstep over a
+  /// cleared pass, before injection.)
   bool holds_grid(int level, PassKind kind,
                   const fault::DetectPoint& at) const {
     if (at.pass == PassKind::Final) {
@@ -226,6 +268,7 @@ class FeedbackSchedule {
 
  private:
   Rbn* fabric_;
+  pkern::SettingsLedger* ledger_;
 };
 
 /// The per-route context every driver — scalar route, packed compile,
@@ -273,12 +316,12 @@ void route_level(const Level& lv, std::vector<LineValue>& lines,
 
 namespace brsmn {
 
-inline sched::UnrolledSchedule Brsmn::schedule() {
-  return {levels_, n_, m_};
+inline sched::UnrolledSchedule Brsmn::schedule() const {
+  return {levels_, n_, m_, *ledger_};
 }
 
-inline sched::FeedbackSchedule FeedbackBrsmn::schedule() {
-  return sched::FeedbackSchedule(fabric_);
+inline sched::FeedbackSchedule FeedbackBrsmn::schedule() const {
+  return {fabric_, *ledger_};
 }
 
 }  // namespace brsmn

@@ -6,7 +6,9 @@
 
 namespace brsmn {
 
-FeedbackBrsmn::FeedbackBrsmn(std::size_t n) : fabric_(n) {}
+FeedbackBrsmn::FeedbackBrsmn(std::size_t n)
+    : fabric_(n),
+      ledger_(std::make_unique<pkern::SettingsLedger>(n, fabric_.stages())) {}
 
 std::size_t FeedbackBrsmn::passes_per_route() const {
   return 2 * (static_cast<std::size_t>(levels()) - 1) + 1;
@@ -22,6 +24,11 @@ RouteResult FeedbackBrsmn::route(const MulticastAssignment& assignment,
     return packed_route(*this, assignment, options);
   }
   return sched::scalar_route(schedule(), assignment, options);
+}
+
+const Rbn& FeedbackBrsmn::fabric() const {
+  schedule().derive_grids();
+  return fabric_;
 }
 
 }  // namespace brsmn

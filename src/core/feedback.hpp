@@ -63,9 +63,8 @@ class FeedbackBrsmn {
                     const RouteOptions& options = {});
 
   /// Replay a compiled plan on this fabric: each pass's stored settings
-  /// are installed (after a reset, as in a cold route) and only the
-  /// datapath runs. Same self-check / fault semantics as
-  /// Brsmn::route_replay; requires plan.impl == Feedback.
+  /// drive the datapath without being re-decided. Same self-check / fault
+  /// semantics as Brsmn::route_replay; requires plan.impl == Feedback.
   RouteResult route_replay(const RoutePlan& plan,
                            const RouteOptions& options = {});
 
@@ -74,28 +73,36 @@ class FeedbackBrsmn {
   void route_replay_into(const RoutePlan& plan, const RouteOptions& options,
                          RouteResult& out);
 
-  const Rbn& fabric() const noexcept { return fabric_; }
+  /// The physical fabric, holding the settings of the last pass routed
+  /// (derived here from the packed engine's settings, so it reads the
+  /// same whichever engine routed); the reference is valid until the
+  /// next route.
+  const Rbn& fabric() const;
 
  private:
-  /// The packed engine's entry point (core/packed_kernel.cpp); it installs
-  /// each pass's settings into fabric_ so fabric() inspection sees the
+  /// The packed engine's entry point (core/packed_kernel.cpp); it keeps
+  /// each pass's settings in ledger_, from which fabric() derives the
   /// last pass's grid exactly as the scalar engine leaves it. A non-null
   /// `plan` additionally captures the compiled route plan.
   friend RouteResult packed_route(FeedbackBrsmn& net,
                                   const MulticastAssignment& assignment,
                                   const RouteOptions& options,
                                   RoutePlan* plan);
-  /// The incremental recompiler (also core/packed_kernel.cpp) reuses the
-  /// same per-pass install paths into fabric_.
+  /// The incremental recompiler (also core/packed_kernel.cpp) writes
+  /// ledger_ the same way.
   friend planner::PatchOutcome planner::patch_route(
       FeedbackBrsmn& net, const MulticastAssignment& assignment,
       const RoutePlan& base, const RouteOptions& options, RoutePlan& out,
       const planner::PatchConfig& config);
 
   /// The feedback fabric schedule over fabric_ (core/fabric_schedule.hpp).
-  sched::FeedbackSchedule schedule();
+  sched::FeedbackSchedule schedule() const;
 
-  Rbn fabric_;
+  /// Mutable: the grid is a view of ledger_ that fabric() brings up to
+  /// date.
+  mutable Rbn fabric_;
+  /// The packed engine's settings store (core/level_kernel.hpp).
+  std::unique_ptr<pkern::SettingsLedger> ledger_;
   /// Lazily created by route_replay (see Brsmn::replay_ws_).
   std::unique_ptr<pkern::ReplayWorkspace> replay_ws_;
   /// Lazily created by packed_route / patch_route (see

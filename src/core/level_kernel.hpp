@@ -4,18 +4,21 @@
 //
 // A LevelKernel holds one level's line state as bit-planes (identity /
 // broadcast codes plus the 3-bit Table 1 tag encoding) together with the
-// per-stage datapath masks and the precomputed broadcast events. The
-// route drivers build this state from scratch each route; the replay path
-// restores it from a RoutePlan's checkpoints and only re-runs the
-// datapath, so both sides must agree on the exact layout.
+// precomputed broadcast events, and reads each pass's stage masks from
+// the network's SettingsLedger. The route drivers build this state from
+// scratch each route; the replay path restores it from a RoutePlan's
+// checkpoints and only re-runs the datapath, so both sides must agree on
+// the exact layout.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "core/explain.hpp"
 #include "core/line_value.hpp"
 #include "core/packed_kernel.hpp"
 
@@ -40,7 +43,10 @@ struct LevelKernel {
   std::size_t wcode = 0;     ///< code planes (m + 1 bits: codes < 2n)
   packed::PackedLines state;  ///< wcode code planes + 3 tag planes
   packed::PackedLines scratch;
-  std::vector<packed::StageMasks> masks;         ///< masks[j-1], j = 1..S
+  /// masks[j-1], j = 1..S: the current pass's slot in the network's
+  /// SettingsLedger, bound by the driver before the pass configures or
+  /// replays it.
+  std::span<packed::StageMasks> masks;
   std::vector<std::vector<BcastEvent>> events;   ///< per stage, visit order
   std::vector<std::size_t> parent_code;          ///< by event ord
   std::uint64_t copy_id_base = 0;
@@ -70,11 +76,8 @@ struct LevelKernel {
         wcode(static_cast<std::size_t>(m) + 1),
         state(n_, wcode + 3),
         scratch(n_, wcode + 3),
-        masks(static_cast<std::size_t>(stages_)),
         events(static_cast<std::size_t>(stages_)),
-        tag_bytes(packed::words_for(n_) * packed::kWordBits, 0) {
-    for (auto& mk : masks) mk.resize(packed::words_for(n_));
-  }
+        tag_bytes(packed::words_for(n_) * packed::kWordBits, 0) {}
 
   std::span<std::uint64_t> tag_plane(int bit) {
     return state.plane(wcode + static_cast<std::size_t>(bit));
@@ -83,21 +86,74 @@ struct LevelKernel {
     return state.plane(wcode + static_cast<std::size_t>(bit));
   }
 
-  void reset_pass() {
-    for (auto& mk : masks) mk.clear();
-    for (auto& ev : events) ev.clear();
-  }
-
   /// Reconfigure a widest-level workspace kernel (stages = m at
   /// construction) for one level of S stages: the datapaths and
-  /// configuration sweeps run stages 1..S, the mask/event rows past S
-  /// stay cleared, and plan captures slice to the first S rows — so a
-  /// reused kernel is indistinguishable from one constructed per level.
+  /// configuration sweeps run stages 1..S, the event rows past S stay
+  /// cleared, and plan captures slice to the first S rows — so a reused
+  /// kernel is indistinguishable from one constructed per level.
   void begin_level(int S) {
     stages = S;
-    reset_pass();
+    for (auto& ev : events) ev.clear();
   }
 };
+
+/// The packed engine's one store of switch settings: the (su, sl) stage
+/// masks of every (level, pass) of an n-line network, level k's passes
+/// S = m - k + 1 stages deep, all allocated with the network. Compile,
+/// patch and replay write a pass's masks here, the fault seam corrupts
+/// them here and the datapath reads them here; the Rbn grids a network
+/// exposes are derived from them when read (core/fabric_schedule.hpp).
+class SettingsLedger {
+ public:
+  SettingsLedger(std::size_t n, int m) {
+    for (int k = 1; k < m; ++k) {
+      for (int pass = 0; pass < 2; ++pass) {
+        auto& slot = slots_.emplace_back(static_cast<std::size_t>(m - k + 1));
+        for (packed::StageMasks& mk : slot) mk.resize(packed::words_for(n));
+      }
+    }
+    pending_.assign(slots_.size(), 0);
+  }
+
+  /// (level, pass)'s masks, claimed for writing: the slot becomes the
+  /// resident pass, pending until the grids next take it.
+  std::span<packed::StageMasks> write(int level, PassKind pass) {
+    resident_ = slot(level, pass);
+    pending_.at(resident_) = 1;
+    return slots_[resident_];
+  }
+  std::span<const packed::StageMasks> masks(int level, PassKind pass) const {
+    return slots_.at(slot(level, pass));
+  }
+
+  /// Whether (level, pass) was written since last taken; clears the flag.
+  /// (A network of n = 2 has no slots, so nothing is ever pending.)
+  bool take(int level, PassKind pass) {
+    const std::size_t s = slot(level, pass);
+    return s < pending_.size() && std::exchange(pending_[s], 0) != 0;
+  }
+
+  /// The pass written last.
+  int resident_level() const { return static_cast<int>(resident_ / 2) + 1; }
+  PassKind resident_pass() const {
+    return resident_ % 2 == 0 ? PassKind::Scatter : PassKind::Quasisort;
+  }
+
+ private:
+  static std::size_t slot(int level, PassKind pass) {
+    return 2 * static_cast<std::size_t>(level - 1) +
+           (pass == PassKind::Quasisort ? 1 : 0);
+  }
+
+  std::vector<std::vector<packed::StageMasks>> slots_;
+  std::vector<std::uint8_t> pending_;
+  std::size_t resident_ = 0;
+};
+
+/// Copy a stored pass's masks into a ledger slot of the same depth
+/// (equal padded word counts, so the copies reuse the slot's storage).
+void copy_masks(std::span<packed::StageMasks> dst,
+                const std::vector<packed::StageMasks>& src);
 
 /// Clear every plane and write the identity code planes (plane p of line
 /// i holds bit p of i); the three tag planes stay zero.
@@ -119,7 +175,7 @@ void run_unicast_datapath(LevelKernel& kx);
 
 /// Reusable replay scratch owned by the network objects (one allocation
 /// on first route_replay, reused forever after): a kernel sized for the
-/// widest level (stages = m >= any level's S, masks/events sized m) plus
+/// widest level (stages = m >= any level's S, events sized m) plus
 /// the final-level tag planes used for dead-line screening.
 struct ReplayWorkspace {
   LevelKernel kx;

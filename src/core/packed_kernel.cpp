@@ -125,30 +125,6 @@ void PackedLines::set(std::size_t line, std::size_t first_plane,
 
 void PackedLines::clear() { std::fill(words_.begin(), words_.end(), 0); }
 
-void apply_stage_plane(std::span<const std::uint64_t> in,
-                       std::span<std::uint64_t> out, const StageMasks& masks,
-                       std::size_t pair_distance) {
-  const std::size_t words = in.size();
-  if (pair_distance < kWordBits) {
-    // Pairs live within one word: blocks of 2*d lines are 2*d-aligned and
-    // 2*d divides 64, so a shift never crosses a word boundary.
-    const auto d = static_cast<unsigned>(pair_distance);
-    for (std::size_t w = 0; w < words; ++w) {
-      const std::uint64_t su = masks.su[w];
-      const std::uint64_t sl = masks.sl[w];
-      out[w] = (in[w] & ~(su | sl)) | ((in[w] >> d) & su) | ((in[w] << d) & sl);
-    }
-    return;
-  }
-  const std::size_t offset = pair_distance / kWordBits;
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t x = in[w] & ~(masks.su[w] | masks.sl[w]);
-    if (w + offset < words) x |= in[w + offset] & masks.su[w];
-    if (w >= offset) x |= in[w - offset] & masks.sl[w];
-    out[w] = x;
-  }
-}
-
 void apply_stage(PackedLines& state, PackedLines& scratch,
                  const StageMasks& masks, std::size_t pair_distance,
                  const simd::SimdOps& ops) {
@@ -248,63 +224,6 @@ void unshuffle_planes(const PackedLines& in, PackedLines& out) {
     }
   }
 }
-
-void CountPyramid::build(std::span<const std::uint64_t> indicator,
-                         std::size_t n, const simd::SimdOps* ops) {
-  BRSMN_EXPECTS(is_pow2(n) && n >= 2);
-  const std::size_t wpl = words_for(n);
-  BRSMN_EXPECTS(indicator.size() == wpl);
-  n_ = n;
-  levels_ = log2_exact(n);
-  const int in_word = std::min(levels_, 6);
-  // Resize-reuse: every word below is fully overwritten by the cascade,
-  // so rebuilding with held capacity allocates nothing.
-  packed_.resize(static_cast<std::size_t>(in_word));
-  std::uint64_t* level_words[6] = {};
-  for (int j = 0; j < in_word; ++j) {
-    packed_[static_cast<std::size_t>(j)].resize(wpl);
-    level_words[j] = packed_[static_cast<std::size_t>(j)].data();
-  }
-  const simd::SimdOps& o =
-      ops != nullptr ? *ops : simd::ops(simd::Backend::Portable);
-  o.count_cascade(indicator.data(), level_words, in_word, wpl);
-  if (levels_ <= 6) {
-    coarse_.clear();
-  } else {
-    // Level 7 aggregates whole-word totals (the level-6 fields).
-    const auto& word_totals = packed_[5];
-    coarse_.resize(static_cast<std::size_t>(levels_ - 6));
-    coarse_[0].resize(n >> 7);
-    for (std::size_t b = 0; b < coarse_[0].size(); ++b) {
-      coarse_[0][b] = static_cast<std::uint32_t>(word_totals[2 * b] +
-                                                 word_totals[2 * b + 1]);
-    }
-    for (int j = 8; j <= levels_; ++j) {
-      const auto& child = coarse_[static_cast<std::size_t>(j - 8)];
-      auto& cur = coarse_[static_cast<std::size_t>(j - 7)];
-      cur.resize(child.size() / 2);
-      for (std::size_t b = 0; b < cur.size(); ++b) {
-        cur[b] = child[2 * b] + child[2 * b + 1];
-      }
-    }
-  }
-}
-
-std::size_t CountPyramid::count(int level, std::size_t block) const {
-  BRSMN_EXPECTS(level >= 1 && level <= levels_);
-  BRSMN_EXPECTS(block < (n_ >> level));
-  if (level > 6) return coarse_[static_cast<std::size_t>(level - 7)][block];
-  const std::uint64_t word =
-      packed_[static_cast<std::size_t>(level - 1)][block >> (6 - level)];
-  const std::size_t field = block & ((std::size_t{1} << (6 - level)) - 1);
-  const unsigned shift = static_cast<unsigned>(field) << level;
-  const std::uint64_t mask = level == 6
-                                 ? ~std::uint64_t{0}
-                                 : (std::uint64_t{1} << (1u << level)) - 1;
-  return static_cast<std::size_t>((word >> shift) & mask);
-}
-
-std::size_t CountPyramid::total() const { return count(levels_, 0); }
 
 void TagCensus::build(std::span<const std::uint64_t> t0,
                       std::span<const std::uint64_t> t1,
@@ -539,6 +458,16 @@ void run_unicast_datapath(LevelKernel& kx) {
   }
 }
 
+void copy_masks(std::span<pk::StageMasks> dst,
+                const std::vector<pk::StageMasks>& src) {
+  BRSMN_EXPECTS(src.size() == dst.size());
+  for (std::size_t j = 0; j < src.size(); ++j) {
+    BRSMN_EXPECTS(src[j].su.size() == dst[j].su.size());
+    std::copy(src[j].su.begin(), src[j].su.end(), dst[j].su.begin());
+    std::copy(src[j].sl.begin(), src[j].sl.end(), dst[j].sl.begin());
+  }
+}
+
 }  // namespace pkern
 
 namespace {
@@ -601,17 +530,12 @@ void build_census(pk::TagCensus& census, const LevelKernel& kx) {
                *kx.ops);
 }
 
-/// Slice the workspace kernel's first S mask rows into a plan capture.
-/// The workspace kernel is sized for the widest level (m rows); rows past
-/// the level's stage count are workspace padding, kept cleared, and must
-/// not leak into the stored plan (replay and the plan tests expect
-/// exactly S rows, as a per-level kernel would produce).
-void capture_stage_masks(const LevelKernel& kx,
-                         std::vector<pk::StageMasks>& dst) {
-  dst.assign(kx.masks.begin(), kx.masks.begin() + kx.stages);
-}
-
-/// As capture_stage_masks, for the per-stage broadcast event lists.
+/// Slice the workspace kernel's first S per-stage broadcast event lists
+/// into a plan capture. The workspace kernel is sized for the widest
+/// level (m rows); rows past the level's stage count are workspace
+/// padding, kept cleared, and must not leak into the stored plan (replay
+/// and the plan tests expect exactly S rows, as a per-level kernel would
+/// produce).
 void capture_stage_events(const LevelKernel& kx,
                           std::vector<std::vector<BcastEvent>>& dst) {
   dst.assign(kx.events.begin(), kx.events.begin() + kx.stages);
@@ -622,14 +546,12 @@ void capture_stage_events(const LevelKernel& kx,
 /// scalar combine()'s tie-type propagation: a zero-surplus node inherits
 /// its upper child's type), the backward phase runs the shared
 /// scatter_block_plan per node and emits contiguous setting runs into the
-/// stage masks, the physical fabric (via `install`), the explain sink, and
-/// the broadcast-event lists. All BSN roots start their runs at 0, exactly
-/// as both scalar engines do. Root node values are returned for the
-/// unrolled engine's Eq. (3) check.
-template <typename InstallFn>
+/// stage masks, the explain sink, and the broadcast-event lists. All BSN
+/// roots start their runs at 0, exactly as both scalar engines do. Root
+/// node values are returned for the unrolled engine's Eq. (3) check.
 std::vector<ScatterNodeValue> configure_scatter_packed(
     CompileWorkspace& ws, const pk::TagCensus& census,
-    RoutingStats* stats, const ExplainSink* explain, InstallFn&& install) {
+    RoutingStats* stats, const ExplainSink* explain) {
   LevelKernel& kx = ws.kx;
   const std::size_t n = kx.n;
   const int S = kx.stages;
@@ -693,8 +615,6 @@ std::vector<ScatterNodeValue> configure_scatter_packed(
       next[2 * b + 1] = plan.s1;
       const std::size_t base_line = b << j;
       auto seg = [&](std::size_t first, std::size_t count, SwitchSetting w) {
-        if (count == 0) return;
-        install(j, b, first, count, w);
         fill_masks(mk, j, b, first, count, w);
       };
       if (plan.rule == RouteRule::ScatterAddition) {
@@ -816,12 +736,10 @@ void divide_eps_packed(CompileWorkspace& ws,
 /// Word-parallel quasisort configuration: per BSN block a Theorem-1 bit
 /// sort of the b2 keys with the 1-run starting at the midpoint, each merge
 /// node solved by the shared lemma1_geometry.
-template <typename InstallFn>
 void configure_quasisort_packed(CompileWorkspace& ws,
                                 const pk::TagCensus& census,
                                 RoutingStats* stats,
-                                const ExplainSink* explain,
-                                InstallFn&& install) {
+                                const ExplainSink* explain) {
   LevelKernel& kx = ws.kx;
   const std::size_t n = kx.n;
   const int S = kx.stages;
@@ -849,8 +767,6 @@ void configure_quasisort_packed(CompileWorkspace& ws,
       const lemmas::Lemma1Geometry g = lemmas::lemma1_geometry(nprime, s, l0, l1);
       next[2 * b] = g.s0;
       next[2 * b + 1] = g.s1;
-      install(j, b, std::size_t{0}, g.s1, g.run);
-      install(j, b, g.s1, half - g.s1, opposite_unicast(g.run));
       fill_masks(mk, j, b, 0, g.s1, g.run);
       fill_masks(mk, j, b, g.s1, half - g.s1, opposite_unicast(g.run));
       if (explain != nullptr) {
@@ -1130,7 +1046,7 @@ RoutingStats stats_diff(const RoutingStats& after, const RoutingStats& before) {
 /// True when the tag planes loaded into `kx` equal the stored level's
 /// entry checkpoint. Codes are identity-loaded per level, so every
 /// configuration product of the level — census, scatter/quasisort plans,
-/// masks, runs, events, ε-division, checkpoints — is a pure function of
+/// masks, events, ε-division, checkpoints — is a pure function of
 /// these three planes: equality means the stored level can be adopted
 /// verbatim.
 bool entry_planes_match(LevelKernel& kx, const PlanLevel& old) {
@@ -1177,17 +1093,6 @@ void compile_level(const Level& lv, CompileWorkspace& ws,
   const sched::SpanNames& names = Level::kSpans;
   const RoutingStats entry_stats = result.stats;
   const std::size_t splits_before = result.stats.broadcast_ops;
-  if (pl != nullptr) {
-    // The configure callbacks partition every stage's n/2 switches, so
-    // these defaults never survive — the rows exist so each callback run
-    // is one fill into a pre-sized stage row.
-    pl->scatter_settings.assign(
-        static_cast<std::size_t>(S),
-        std::vector<SwitchSetting>(n / 2, SwitchSetting::Parallel));
-    pl->quasisort_settings.assign(
-        static_cast<std::size_t>(S),
-        std::vector<SwitchSetting>(n / 2, SwitchSetting::Parallel));
-  }
   char level_label[24];
   std::snprintf(level_label, sizeof level_label, "level.%d", k);
   obs::TraceSpan level_span(probe.tracer, level_label);
@@ -1201,22 +1106,11 @@ void compile_level(const Level& lv, CompileWorkspace& ws,
     quasi_sink.pass = &passes.back();
   }
   const fault::PassSeam seam = run.seam(k, Level::kImpl, RouteEngine::Packed);
-  // Each configured run goes to the schedule's fabric and, when compiling
-  // a plan, into the pass's level-wide stage row.
-  const auto installer = [&lv, pl](PassKind pass) {
-    std::vector<std::vector<SwitchSetting>>* rows =
-        pl == nullptr ? nullptr
-        : pass == PassKind::Scatter ? &pl->scatter_settings
-                                    : &pl->quasisort_settings;
-    return [&lv, pass, rows](int j, std::size_t g, std::size_t first,
-                             std::size_t count, SwitchSetting s) {
-      lv.fill_run(pass, j, g, first, count, s);
-      if (rows != nullptr && count != 0) {
-        std::fill_n((*rows)[static_cast<std::size_t>(j - 1)].begin() +
-                        static_cast<std::ptrdiff_t>((g << (j - 1)) + first),
-                    static_cast<std::ptrdiff_t>(count), s);
-      }
-    };
+  // Each pass configures into its own ledger slot, cleared first: the
+  // sweeps OR their runs into the masks.
+  const auto open_pass = [&lv, &kx](PassKind pass) {
+    kx.masks = lv.masks(pass);
+    for (pk::StageMasks& mk : kx.masks) mk.clear();
   };
 
   // The scatter-entry census stays intact through the pass, so Eq. (4)
@@ -1227,7 +1121,7 @@ void compile_level(const Level& lv, CompileWorkspace& ws,
   // Pass 1: scatter — eliminate every alpha (paper Theorem 2).
   fault::guard(run.checking, n, run.route_ord, k, PassKind::Scatter, false,
                [&] {
-    lv.begin_pass(PassKind::Scatter);
+    open_pass(PassKind::Scatter);
     if (scatter_sink.pass != nullptr) {
       scatter_sink.record_input_tags(materialize_tags(kx, /*collapse=*/true));
     }
@@ -1249,8 +1143,7 @@ void compile_level(const Level& lv, CompileWorkspace& ws,
     obs::TraceSpan scatter_span(probe.tracer, names.scatter_config);
     const std::vector<ScatterNodeValue> roots = configure_scatter_packed(
         ws, census, &result.stats,
-        scatter_sink.pass != nullptr ? &scatter_sink : nullptr,
-        installer(PassKind::Scatter));
+        scatter_sink.pass != nullptr ? &scatter_sink : nullptr);
     scatter_span.end();
     scatter_perf.stop();
     scatter_timer.stop();
@@ -1259,8 +1152,10 @@ void compile_level(const Level& lv, CompileWorkspace& ws,
                         "Eq. (3) guarantees eps dominates at the BSN root");
     }
   });
-  if (pl != nullptr) capture_stage_masks(kx, pl->scatter_masks);
-  seam.apply(lv, PassKind::Scatter, &kx.masks);
+  if (pl != nullptr) {
+    pl->scatter_masks.assign(kx.masks.begin(), kx.masks.end());
+  }
+  seam.apply(lv, PassKind::Scatter, kx.masks);
 
   fault::guard(run.checking, n, run.route_ord, k, PassKind::Scatter, true,
                [&] {
@@ -1296,7 +1191,7 @@ void compile_level(const Level& lv, CompileWorkspace& ws,
   // Pass 2: quasisort — ε-divide, then Theorem-1 bit sort on b2.
   fault::guard(run.checking, n, run.route_ord, k, PassKind::Quasisort, false,
                [&] {
-    lv.begin_pass(PassKind::Quasisort);
+    open_pass(PassKind::Quasisort);
     if (quasi_sink.pass != nullptr) {
       quasi_sink.record_input_tags(materialize_tags(kx, /*collapse=*/true));
     }
@@ -1312,7 +1207,6 @@ void compile_level(const Level& lv, CompileWorkspace& ws,
           materialize_tags(kx, /*collapse=*/false));
     }
 
-    kx.reset_pass();
     pk::TagCensus& divided = ws.divided;
     build_census(divided, kx);
     obs::PhaseTimer quasisort_timer(probe.quasisort);
@@ -1320,14 +1214,13 @@ void compile_level(const Level& lv, CompileWorkspace& ws,
     obs::TraceSpan quasisort_span(probe.tracer, names.quasisort_config);
     configure_quasisort_packed(
         ws, divided, &result.stats,
-        quasi_sink.pass != nullptr ? &quasi_sink : nullptr,
-        installer(PassKind::Quasisort));
+        quasi_sink.pass != nullptr ? &quasi_sink : nullptr);
   });
   if (pl != nullptr) {
     pl->divided_t2.assign(kx.tag_plane(2).begin(), kx.tag_plane(2).end());
-    capture_stage_masks(kx, pl->quasisort_masks);
+    pl->quasisort_masks.assign(kx.masks.begin(), kx.masks.end());
   }
-  seam.apply(lv, PassKind::Quasisort, &kx.masks);
+  seam.apply(lv, PassKind::Quasisort, kx.masks);
 
   fault::guard(run.checking, n, run.route_ord, k, PassKind::Quasisort, true,
                [&] {
@@ -1364,9 +1257,9 @@ void compile_level(const Level& lv, CompileWorkspace& ws,
   if (pl != nullptr) pl->stats_delta = stats_diff(result.stats, entry_stats);
 }
 
-/// Adopt one stored level verbatim during a patch: install its setting
-/// rows through the schedule (they partition every stage, so this fully
-/// overwrites stale state and matches a cold compile's grids), restore
+/// Adopt one stored level verbatim during a patch: copy its stage masks
+/// into the level's ledger slots (a whole pass each, so nothing stale
+/// survives and the derived grids match a cold compile's), restore
 /// the post-quasisort checkpoint and event bookkeeping, re-emit the
 /// stored explanation passes, and advance the line state to the level's
 /// stored outcome. Copy ids keep tracking the cold allocation order
@@ -1380,8 +1273,8 @@ void reuse_level(const Level& lv, const PlanLevel& old, const RoutePlan& base,
   char level_label[24];
   std::snprintf(level_label, sizeof level_label, "level.%d", k);
   obs::TraceSpan level_span(run.probe.tracer, level_label);
-  lv.install(PassKind::Scatter, old.scatter_settings);
-  lv.install(PassKind::Quasisort, old.quasisort_settings);
+  pkern::copy_masks(lv.masks(PassKind::Scatter), old.scatter_masks);
+  pkern::copy_masks(lv.masks(PassKind::Quasisort), old.quasisort_masks);
 
   LevelKernel& kx = ws.kx;
   BRSMN_EXPECTS(old.post_quasisort.size() == kx.state.words().size());

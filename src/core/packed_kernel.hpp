@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/simd_backend.hpp"
+#include "core/switch_setting.hpp"
 
 namespace brsmn::packed {
 
@@ -155,14 +156,22 @@ struct StageMasks {
     std::fill(su.begin(), su.end(), 0);
     std::fill(sl.begin(), sl.end(), 0);
   }
-};
 
-/// Apply one RBN stage (pair distance d = 2^(stage-1)) to a single
-/// bit-plane: out = in routed through the stage's switches per `masks`.
-/// `out` must not alias `in`.
-void apply_stage_plane(std::span<const std::uint64_t> in,
-                       std::span<std::uint64_t> out, const StageMasks& masks,
-                       std::size_t pair_distance);
+  /// The setting of the switch pairing line `up` with `up + d`.
+  SwitchSetting setting(std::size_t up, std::size_t d) const {
+    const bool u = plane_get(su, up);
+    if (u == plane_get(sl, up + d)) {
+      return u ? SwitchSetting::Cross : SwitchSetting::Parallel;
+    }
+    return u ? SwitchSetting::LowerBcast : SwitchSetting::UpperBcast;
+  }
+  /// Overwrite that switch's two bits with the encoding of `s`.
+  void set(std::size_t up, std::size_t d, SwitchSetting s) {
+    using enum SwitchSetting;
+    plane_set(su, up, s == Cross || s == LowerBcast);
+    plane_set(sl, up + d, s == Cross || s == UpperBcast);
+  }
+};
 
 /// Apply one stage to every plane of `state` through the given backend's
 /// word kernels, double-buffering through `scratch` (same shape; contents
@@ -186,42 +195,14 @@ void shuffle_planes(const PackedLines& in, PackedLines& out);
 /// Inverse permutation: out[i] = in[topo::shuffle(i, n)].
 void unshuffle_planes(const PackedLines& in, PackedLines& out);
 
-/// Word-parallel counting tree over an indicator plane — the software
-/// analogue of Section 7.2's per-stage adder trees. After build(),
-/// count(j, b) is the number of set bits among lines [b*2^j, (b+1)*2^j),
-/// for every 1 <= j <= log2(n). Levels up to 64-line blocks are computed
-/// as an in-word SWAR cascade (six masked add steps per word); coarser
-/// levels sum word totals.
-class CountPyramid {
- public:
-  /// `indicator` holds n lines (bits past n must be zero); n a power of
-  /// two >= 2. The in-word cascade runs through `ops` when given
-  /// (nullptr = portable); every backend computes identical words.
-  void build(std::span<const std::uint64_t> indicator, std::size_t n,
-             const simd::SimdOps* ops = nullptr);
-
-  std::size_t count(int level, std::size_t block) const;
-
-  /// count(log2(n), 0): the whole-plane total.
-  std::size_t total() const;
-
- private:
-  std::size_t n_ = 0;
-  int levels_ = 0;
-  /// packed_[j-1] for level j in 1..min(levels, 6): fields of 2^j bits.
-  std::vector<Words> packed_;
-  /// coarse_[j-7] for level j >= 7: one count per block.
-  std::vector<std::vector<std::uint32_t>> coarse_;
-};
-
 /// Structure-of-arrays tag census: the three class indicator planes
 /// (alpha = t0 & ~t1, eps = t0 & t1, ones = t2) plus flat per-class
-/// count arrays covering every tree level at once. Where CountPyramid
-/// answers one (level, block) query from bit-field extraction, the
-/// census stores all n-1 block counts per class as contiguous uint32
-/// values — level j's n/2^j counts start at offset n - n/2^(j-1) — so
-/// the scatter/quasisort configuration sweeps read their counts as
-/// plain array loads with no shifting or masking. Levels above the
+/// count arrays covering every tree level at once — the software
+/// analogue of Section 7.2's per-stage adder trees. The census stores
+/// all n-1 block counts per class as contiguous uint32 values — level
+/// j's n/2^j counts start at offset n - n/2^(j-1) — so the
+/// scatter/quasisort configuration sweeps read their counts as plain
+/// array loads with no shifting or masking. Levels above the
 /// in-word cascade are built by the backend's pair_sum_u32 kernel, one
 /// whole level per call. All buffers are reused across build() calls
 /// (zero steady-state allocations in the compile hot path).

@@ -5,7 +5,10 @@
 // and moves values. All intelligence lives in the distributed routing
 // algorithms (bit_sorter / scatter / quasisort), which fill in the grid,
 // mirroring the paper's separation between the switching fabric and the
-// per-switch routing circuitry.
+// per-switch routing circuitry. The grid is the scalar engine's settings
+// store; the packed engine keeps its settings as stage bitmasks and the
+// network derives this grid from them when it is read
+// (core/fabric_schedule.hpp).
 #pragma once
 
 #include <cstddef>
@@ -52,21 +55,6 @@ class Rbn {
   /// Read back one block's settings (logical order).
   std::vector<SwitchSetting> block_settings(int stage,
                                             std::size_t block) const;
-
-  /// Install `s` on logical switches [first, first + count) of block
-  /// `block` at `stage`. Logical switch t of a block is stage switch
-  /// block * block_size(stage)/2 + t, so the run is one contiguous
-  /// std::fill over the stage's settings row — the bulk form the packed
-  /// kernel uses to install whole decision runs at once.
-  void fill_block_run(int stage, std::size_t block, std::size_t first,
-                      std::size_t count, SwitchSetting s);
-
-  /// Overwrite a whole stage's settings row in one copy. `row` is in the
-  /// same block-major logical order fill_block_run addresses (stage
-  /// switch block * block_size(stage)/2 + t) and must cover the stage
-  /// exactly — the bulk form plan replay and patching use to install a
-  /// stored stage without walking its decision runs.
-  void install_stage(int stage, std::span<const SwitchSetting> row);
 
   /// Propagate `lines` (size n) through stages [from_stage, to_stage]
   /// inclusive. For each switch, `fn(ctx, setting, upper, lower)` must

@@ -1,13 +1,13 @@
 // Replay of compiled route plans (see route_plan.hpp).
 //
 // A replay re-runs only the datapath: per level it reloads the identity
-// codes, restores the entry tag planes, installs the stored masks and
-// fabric setting runs, and propagates. The plan's post-pass checkpoints
-// stand in for the configuration-phase contracts: under the self-check,
-// any divergence of the replayed state from the stored state — which is
-// exactly what an injected fault produces — raises fault::FaultDetected
-// at the (level, pass) that diverged, mirroring a cold route's detection
-// points.
+// codes, restores the entry tag planes, copies each pass's stored masks
+// into the network's settings ledger, and propagates. The plan's
+// post-pass checkpoints stand in for the configuration-phase contracts:
+// under the self-check, any divergence of the replayed state from the
+// stored state — which is exactly what an injected fault produces —
+// raises fault::FaultDetected at the (level, pass) that diverged,
+// mirroring a cold route's detection points.
 #include "core/route_plan.hpp"
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include "core/fabric_schedule.hpp"
 #include "core/level_kernel.hpp"
 #include "fault/fault_injector.hpp"
+#include "fault/locate.hpp"
 #include "fault/self_check.hpp"
 #include "obs/fabric_heatmap.hpp"
 #include "obs/metrics.hpp"
@@ -37,18 +38,6 @@ namespace pk = packed;
 void copy_span(std::span<std::uint64_t> dst, const pk::Words& src) {
   BRSMN_EXPECTS(dst.size() == src.size());
   std::copy(src.begin(), src.end(), dst.begin());
-}
-
-/// Copy the first src.size() stage masks into dst, reusing dst's word
-/// storage (dst is the workspace's m-stage mask array; src has the
-/// level's S <= m stages).
-void copy_masks(std::vector<pk::StageMasks>& dst,
-                const std::vector<pk::StageMasks>& src) {
-  BRSMN_EXPECTS(src.size() <= dst.size());
-  for (std::size_t j = 0; j < src.size(); ++j) {
-    dst[j].su = src[j].su;
-    dst[j].sl = src[j].sl;
-  }
 }
 
 /// Whole-state comparison against a stored checkpoint. Valid because
@@ -85,12 +74,12 @@ bool apply_dead_lines_packed(const fault::FaultInjector* injector,
   return any_killed;
 }
 
-/// The replay loop over either fabric schedule: the schedule installs
-/// each pass's stored setting rows into the physical fabric (reset first
-/// on the feedback fabric, as a cold pass is) and routes the fault seam
-/// to it. The replay always drives the packed datapath, so the seam sees
-/// RouteEngine::Packed regardless of options.engine (the engines are
-/// bit-identical, and so are their replays).
+/// The replay loop over either fabric schedule: each pass's stored masks
+/// go into the schedule's ledger slot for it, where the fault seam
+/// corrupts them and the datapath reads them. The replay always drives
+/// the packed datapath, so the seam sees RouteEngine::Packed regardless
+/// of options.engine (the engines are bit-identical, and so are their
+/// replays).
 template <typename Schedule>
 void replay_core(const Schedule& sched, const RoutePlan& plan,
                  const RouteOptions& options, RouteResult& out,
@@ -150,9 +139,9 @@ void replay_core(const Schedule& sched, const RoutePlan& plan,
     const fault::PassSeam seam = run.seam(k, impl, RouteEngine::Packed);
 
     // Scatter pass: stored settings in, datapath through, checkpoint out.
-    copy_masks(kx.masks, pl.scatter_masks);
-    lv.install(PassKind::Scatter, pl.scatter_settings);
-    seam.apply(lv, PassKind::Scatter, &kx.masks);
+    kx.masks = lv.masks(PassKind::Scatter);
+    pkern::copy_masks(kx.masks, pl.scatter_masks);
+    seam.apply(lv, PassKind::Scatter, kx.masks);
     for (std::size_t j = 0; j < static_cast<std::size_t>(S); ++j) {
       kx.events[j] = pl.events[j];
     }
@@ -173,9 +162,9 @@ void replay_core(const Schedule& sched, const RoutePlan& plan,
     // Quasisort pass: the ε-division is part of the plan — restore its
     // t2 plane rather than re-deriving it.
     copy_span(kx.tag_plane(2), pl.divided_t2);
-    copy_masks(kx.masks, pl.quasisort_masks);
-    lv.install(PassKind::Quasisort, pl.quasisort_settings);
-    seam.apply(lv, PassKind::Quasisort, &kx.masks);
+    kx.masks = lv.masks(PassKind::Quasisort);
+    pkern::copy_masks(kx.masks, pl.quasisort_masks);
+    seam.apply(lv, PassKind::Quasisort, kx.masks);
     fault::guard(run.checking, n, run.route_ord, k, PassKind::Quasisort, true,
                  [&] {
       obs::PhaseTimer sort_datapath(probe.datapath);
@@ -237,6 +226,20 @@ void replay_core(const Schedule& sched, const RoutePlan& plan,
   }
 }
 
+/// replay_core, with a detection under explain localized to the
+/// switches it names, as a cold route's is.
+template <typename Schedule>
+void replay(const Schedule& sched, const RoutePlan& plan,
+            const RouteOptions& options, RouteResult& out,
+            std::unique_ptr<pkern::ReplayWorkspace>& ws_slot) {
+  try {
+    replay_core(sched, plan, options, out, ws_slot);
+  } catch (const fault::FaultDetected& e) {
+    if (options.explain) fault::rethrow_localized(sched, e, *plan.explanation);
+    throw;
+  }
+}
+
 }  // namespace
 
 // Out-of-line where pkern::ReplayWorkspace is complete.
@@ -256,7 +259,7 @@ RouteResult Brsmn::route_replay(const RoutePlan& plan,
 
 void Brsmn::route_replay_into(const RoutePlan& plan,
                               const RouteOptions& options, RouteResult& out) {
-  replay_core(schedule(), plan, options, out, replay_ws_);
+  replay(schedule(), plan, options, out, replay_ws_);
 }
 
 RouteResult FeedbackBrsmn::route_replay(const RoutePlan& plan,
@@ -269,7 +272,7 @@ RouteResult FeedbackBrsmn::route_replay(const RoutePlan& plan,
 void FeedbackBrsmn::route_replay_into(const RoutePlan& plan,
                                       const RouteOptions& options,
                                       RouteResult& out) {
-  replay_core(schedule(), plan, options, out, replay_ws_);
+  replay(schedule(), plan, options, out, replay_ws_);
 }
 
 std::uint64_t assignment_fingerprint(const MulticastAssignment& a) {

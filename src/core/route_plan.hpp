@@ -3,22 +3,22 @@
 // A cold route spends most of its time deciding — quasisort merges, tag
 // trees, eps-division, scatter planning — and comparatively little time
 // moving bits through the fabric. A RoutePlan freezes every decision of
-// one route over one assignment: the per-(level, pass) switch settings in
-// both forms the engines consume (whole per-stage settings rows for the
-// Rbn grids, packed StageMasks for the word-parallel datapath), the broadcast
-// events with their copy-id allocation order, the expected state
-// checkpoints after each pass, and the output mapping. route_replay()
-// (Brsmn / FeedbackBrsmn) then skips the configuration phases entirely:
-// it installs the stored settings, drives the datapath, and validates the
-// resulting state against the checkpoints — so a replay under an active
-// fault still raises fault::FaultDetected, and a clean replay is
-// bit-identical to a cold route (outputs, fabric grids, stats,
-// explanations).
+// one route over one assignment: the per-(level, pass) switch settings as
+// packed (su, sl) StageMasks — the paper's four 2x2 settings are two bits
+// per switch, and the Rbn grids are derived from these masks when read —
+// the broadcast events with their copy-id allocation order, the expected
+// state checkpoints after each pass, and the output mapping.
+// route_replay() (Brsmn / FeedbackBrsmn) then skips the configuration
+// phases entirely: it copies the stored masks into the network's
+// settings ledger, drives the datapath, and validates the resulting state
+// against the checkpoints — so a replay under an active fault still
+// raises fault::FaultDetected, and a clean replay is bit-identical to a
+// cold route (outputs, fabric grids, stats, explanations).
 //
 // Plans are engine-agnostic (the Scalar and Packed engines are
 // bit-identical, so one plan serves both) but implementation-specific:
-// the unrolled and feedback fabrics take different setting runs and
-// allocate copy ids in different orders.
+// the unrolled and feedback fabrics allocate copy ids in different
+// orders.
 #pragma once
 
 #include <cstddef>
@@ -45,18 +45,12 @@ struct PlanLevel {
   packed::Words entry_t1;
   packed::Words entry_t2;
 
-  /// Per-stage datapath masks and full fabric settings rows, per pass.
-  /// Settings row [j-1] holds stage j's n/2 switches level-wide, in the
-  /// block-major logical order Rbn::fill_block_run addresses (global
-  /// switch g * block_size(j)/2 + t); replay and patching install a row
-  /// with one Rbn::install_stage copy per stage instead of walking the
-  /// compile's decision runs. For the unrolled implementation the row
-  /// concatenates the level's BSNs, so each BSN installs its contiguous
-  /// 2^(stages-1)-wide slice.
+  /// Each pass's switch settings, the only form a plan stores: masks[j-1]
+  /// holds stage j's (su, sl) bits level-wide (packed::StageMasks). They
+  /// are all replay and patching need — the datapath reads them, and the
+  /// network derives its Rbn grids from them when those are read.
   std::vector<packed::StageMasks> scatter_masks;
-  std::vector<std::vector<SwitchSetting>> scatter_settings;
   std::vector<packed::StageMasks> quasisort_masks;
-  std::vector<std::vector<SwitchSetting>> quasisort_settings;
 
   /// Broadcast events with finalized copy-id allocation order.
   std::vector<std::vector<pkern::BcastEvent>> events;
@@ -123,8 +117,8 @@ RouteResult compile_route(FeedbackBrsmn& net,
 /// function of the tag planes entering it (codes are identity-loaded per
 /// level), so patch_route walks the levels of a fresh compile of
 /// `assignment` and, whenever a level's entry tag planes match `base`'s
-/// stored checkpoint, adopts the base level verbatim — masks, runs,
-/// events, checkpoints, stats delta — instead of re-deriving it. Only
+/// stored checkpoint, adopts the base level verbatim — masks, events,
+/// checkpoints, stats delta — instead of re-deriving it. Only
 /// levels whose entry planes diverge (and always the final 2x2 delivery
 /// level) are recompiled, through the exact cold code path, so a patched
 /// plan is bit-identical to a cold compile of `assignment` (verified

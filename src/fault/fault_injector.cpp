@@ -6,23 +6,10 @@ namespace brsmn::fault {
 
 namespace {
 
-namespace pk = packed;
-
 bool scope_matches(const FaultSpec& f, ImplKind impl, RouteEngine engine) {
   if (f.impl && *f.impl != impl) return false;
   if (f.engine && *f.engine != engine) return false;
   return true;
-}
-
-/// Write the two datapath mask bits of one switch coherently (mirrors
-/// fill_masks in core/packed_kernel.cpp: su at the upper line, sl at the
-/// lower), clearing any bits the original configuration had set.
-void set_mask_switch(pk::StageMasks& mk, std::size_t up, std::size_t d,
-                     SwitchSetting s) {
-  pk::plane_set(mk.su, up,
-                s == SwitchSetting::Cross || s == SwitchSetting::LowerBcast);
-  pk::plane_set(mk.sl, up + d,
-                s == SwitchSetting::Cross || s == SwitchSetting::UpperBcast);
 }
 
 /// Resolve one armed fault against the configured setting, log it into
@@ -120,17 +107,19 @@ void apply_dead_lines(const FaultInjector* injector, std::uint64_t route,
 }
 
 void PassSeam::apply_at(FabricSwitch sw, PassKind pass,
-                        const FaultInjector::ArmedSwitchFault& fault,
-                        std::vector<packed::StageMasks>* masks) const {
+                        const FaultInjector::ArmedSwitchFault& fault) const {
   const auto resolved = resolve_and_record(
       *this, pass, fault, sw.fabric->setting(fault.stage, sw.index));
-  if (!resolved) return;
-  sw.fabric->set(fault.stage, sw.index, *resolved);
-  if (masks != nullptr) {
-    set_mask_switch((*masks)[static_cast<std::size_t>(fault.stage - 1)],
-                    fault_site_upper_line(fault.stage, fault.index),
-                    std::size_t{1} << (fault.stage - 1), *resolved);
-  }
+  if (resolved) sw.fabric->set(fault.stage, sw.index, *resolved);
+}
+
+void PassSeam::apply_at(packed::StageMasks& mk, PassKind pass,
+                        const FaultInjector::ArmedSwitchFault& fault) const {
+  const std::size_t up = fault_site_upper_line(fault.stage, fault.index);
+  const std::size_t d = std::size_t{1} << (fault.stage - 1);
+  const auto resolved =
+      resolve_and_record(*this, pass, fault, mk.setting(up, d));
+  if (resolved) mk.set(up, d, *resolved);
 }
 
 }  // namespace brsmn::fault

@@ -8,17 +8,19 @@
 // localization (fault/locate.hpp) possible: intent and actual are two
 // separate artifacts that can be diffed.
 //
-// One seam serves both engines over either fabric schedule. The scalar
-// engine patches the Rbn settings its datapath reads; the packed engine
-// patches both the Rbn fabrics (so post-route inspection agrees) and the
-// stage bitmasks its word-parallel datapath actually consumes — in
-// lockstep, so the two engines stay bit-identical under the same plan.
+// One seam serves both engines over either fabric schedule, each at its
+// own settings store: the scalar engine patches the Rbn settings its
+// datapath reads, the packed engine the stage bitmasks its word-parallel
+// datapath reads (the Rbn grids it exposes are derived from those masks,
+// so post-route inspection agrees), and the two engines stay
+// bit-identical under the same plan.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/brsmn.hpp"
@@ -173,24 +175,29 @@ struct PassSeam {
 
   bool armed() const noexcept { return injector != nullptr; }
 
-  /// Install this level's armed faults for `pass` into the switches the
-  /// level view `lv` maps their sites to and, when `masks` is given (the
-  /// packed engine), into the stage bitmasks its datapath reads — in
-  /// lockstep, so both engines see the same faulted fabric.
+  /// Install this level's armed faults for `pass`: into the pass's
+  /// stage bitmasks when `masks` is non-empty (the packed engine),
+  /// otherwise into the switches the level view `lv` maps their sites to.
   template <typename Level>
   void apply(const Level& lv, PassKind pass,
-             std::vector<packed::StageMasks>* masks) const {
+             std::span<packed::StageMasks> masks) const {
     if (!armed()) return;
     for (const auto& fault :
          injector->switch_faults(route, level, pass, impl, engine)) {
-      apply_at(lv.site(pass, fault.stage, fault.index), pass, fault, masks);
+      if (masks.empty()) {
+        apply_at(lv.site(pass, fault.stage, fault.index), pass, fault);
+      } else {
+        apply_at(masks[static_cast<std::size_t>(fault.stage - 1)], pass,
+                 fault);
+      }
     }
   }
 
  private:
   void apply_at(FabricSwitch sw, PassKind pass,
-                const FaultInjector::ArmedSwitchFault& fault,
-                std::vector<packed::StageMasks>* masks) const;
+                const FaultInjector::ArmedSwitchFault& fault) const;
+  void apply_at(packed::StageMasks& mk, PassKind pass,
+                const FaultInjector::ArmedSwitchFault& fault) const;
 };
 
 }  // namespace brsmn::fault

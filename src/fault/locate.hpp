@@ -1,5 +1,5 @@
 // Provenance localization: name the corrupted switches by diffing the
-// recorded routing intent against the fabric's installed settings.
+// recorded routing intent against the fabric's settings.
 //
 // The configuration algorithms write their decisions into the
 // RouteExplanation grid (core/explain.hpp) *before* the injector touches
@@ -7,7 +7,8 @@
 // online self-check fires, the drivers diff the two over every pass whose
 // grid the fabric still holds at the detection point and attach the
 // mismatching sites — earliest (level, pass, stage, switch) first — to
-// the FaultReport.
+// the FaultReport. The packed engine's settings live in its stage masks,
+// so the grids are derived from them before the diff reads them.
 //
 // Which passes still hold their grids is the fabric schedule's call
 // (core/fabric_schedule.hpp): the unrolled network's BSNs keep theirs for
@@ -33,6 +34,7 @@ template <typename Schedule>
 std::vector<FaultSiteMismatch> locate_mismatches(const Schedule& sched,
                                                  const RouteExplanation& ex,
                                                  const DetectPoint& at) {
+  sched.derive_grids();
   std::vector<FaultSiteMismatch> sites;
   for (const PassExplanation& p : ex.passes) {
     if (p.kind == PassKind::Final || !sched.holds_grid(p.level, p.kind, at)) {

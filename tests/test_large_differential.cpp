@@ -73,8 +73,6 @@ void expect_plans_eq(const RoutePlan& a, const RoutePlan& b) {
     EXPECT_EQ(p.entry_t2, q.entry_t2);
     expect_masks_eq(p.scatter_masks, q.scatter_masks);
     expect_masks_eq(p.quasisort_masks, q.quasisort_masks);
-    EXPECT_EQ(p.scatter_settings, q.scatter_settings);
-    EXPECT_EQ(p.quasisort_settings, q.quasisort_settings);
     EXPECT_EQ(p.num_events, q.num_events);
     EXPECT_EQ(p.parent_codes, q.parent_codes);
     EXPECT_EQ(p.post_scatter, q.post_scatter);

@@ -27,6 +27,7 @@
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "fault/fault_injector.hpp"
+#include "fault/fault_report.hpp"
 #include "core/brsmn.hpp"
 #include "core/feedback.hpp"
 #include "core/multicast_assignment.hpp"
@@ -292,6 +293,75 @@ TEST(RoutePlanContracts, CompileUnderFaultInjectionIsRejected) {
       ContractViolation);
 }
 
+// --- replay fault localization --------------------------------------------
+//
+// An explain replay that detects a switch fault names the switch, as a
+// cold route does: every unicast site of an n = 16 plan, stuck at the
+// opposite of its planned setting, must be caught at its own pass and
+// localized to exactly that (level, pass, stage, switch).
+
+template <typename Net>
+void expect_replay_localizes_stuck_switches() {
+  const std::size_t n = 16;
+  Rng rng(test_seed(8800));
+  const MulticastAssignment a = random_multicast(n, 1.0, rng);
+  Net net(n);
+  RouteOptions explain;
+  explain.explain = true;
+  RoutePlan plan;
+  planner::compile_route(net, a, explain, plan);
+  std::size_t localized = 0;
+  for (const PassExplanation& p : plan.explanation->passes) {
+    if (p.kind == PassKind::Final) continue;
+    for (int stage = 1; stage <= p.stages(); ++stage) {
+      const auto& row = p.decisions[static_cast<std::size_t>(stage - 1)];
+      for (std::size_t sw = 0; sw < row.size(); ++sw) {
+        const SwitchSetting planned = row[sw].setting;
+        if (planned != SwitchSetting::Parallel &&
+            planned != SwitchSetting::Cross) {
+          continue;  // broadcast sites are immune
+        }
+        fault::FaultSpec f;
+        f.kind = fault::FaultKind::StuckSetting;
+        f.stuck = opposite_unicast(planned);
+        f.level = p.level;
+        f.pass = p.kind;
+        f.stage = stage;
+        f.index = sw;
+        fault::FaultPlan fplan;
+        fplan.n = n;
+        fplan.faults.push_back(f);
+        fault::FaultInjector injector(fplan);
+        RouteOptions ropts = explain;
+        ropts.faults = &injector;
+        SCOPED_TRACE(fault::describe(f));
+        try {
+          net.route_replay(plan, ropts);
+          ADD_FAILURE() << "replay missed a changed switch";
+        } catch (const fault::FaultDetected& e) {
+          const fault::FaultReport& r = e.report();
+          EXPECT_EQ(r.at.level, p.level);
+          EXPECT_EQ(r.at.pass, p.kind);
+          ASSERT_EQ(r.sites.size(), 1u);
+          EXPECT_EQ(r.sites[0],
+                    (fault::FaultSiteMismatch{p.level, p.kind, stage, sw,
+                                              planned, f.stuck}));
+          ++localized;
+        }
+      }
+    }
+  }
+  EXPECT_GT(localized, 0u);
+}
+
+TEST(RoutePlanReplayFaults, UnrolledReplayLocalizesStuckSwitch) {
+  expect_replay_localizes_stuck_switches<Brsmn>();
+}
+
+TEST(RoutePlanReplayFaults, FeedbackReplayLocalizesStuckSwitch) {
+  expect_replay_localizes_stuck_switches<FeedbackBrsmn>();
+}
+
 // --- fingerprint ----------------------------------------------------------
 
 TEST(AssignmentFingerprint, DistinguishesAssignments) {
@@ -366,19 +436,39 @@ std::uint64_t plan_blocks(const RoutePlan& plan) {
   for (const PlanLevel& pl : plan.levels) {
     blocks += held(pl.entry_t0) + held(pl.entry_t1) + held(pl.entry_t2) +
               held(pl.scatter_masks) + held(pl.quasisort_masks) +
-              held(pl.scatter_settings) + held(pl.quasisort_settings) +
               held(pl.events) + held(pl.parent_codes) +
               held(pl.post_scatter) + held(pl.divided_t2) +
               held(pl.post_quasisort);
     for (const auto* masks : {&pl.scatter_masks, &pl.quasisort_masks}) {
       for (const auto& mk : *masks) blocks += held(mk.su) + held(mk.sl);
     }
-    for (const auto* rows : {&pl.scatter_settings, &pl.quasisort_settings}) {
-      for (const auto& row : *rows) blocks += held(row);
-    }
     for (const auto& stage : pl.events) blocks += held(stage);
   }
   return blocks;
+}
+
+/// Bytes a compiled plan's vectors hold (their sizes, not capacities),
+/// plus the level records themselves.
+std::uint64_t plan_bytes(const RoutePlan& plan) {
+  const auto bytes = [](const auto& v) -> std::uint64_t {
+    return v.size() * sizeof(v[0]);
+  };
+  std::uint64_t total = bytes(plan.levels) + bytes(plan.final_t0) +
+                        bytes(plan.final_t1) + bytes(plan.final_t2) +
+                        bytes(plan.delivered) +
+                        bytes(plan.broadcasts_per_level);
+  for (const PlanLevel& pl : plan.levels) {
+    total += bytes(pl.entry_t0) + bytes(pl.entry_t1) + bytes(pl.entry_t2) +
+             bytes(pl.scatter_masks) + bytes(pl.quasisort_masks) +
+             bytes(pl.events) + bytes(pl.parent_codes) +
+             bytes(pl.post_scatter) + bytes(pl.divided_t2) +
+             bytes(pl.post_quasisort);
+    for (const auto* masks : {&pl.scatter_masks, &pl.quasisort_masks}) {
+      for (const auto& mk : *masks) total += bytes(mk.su) + bytes(mk.sl);
+    }
+    for (const auto& stage : pl.events) total += bytes(stage);
+  }
+  return total;
 }
 
 /// Inputs at the extremes of copy count and fanout: n unicast copies and
@@ -407,6 +497,8 @@ void check_compile_allocations() {
   }
   std::vector<std::uint64_t> compile_residual;
   std::vector<std::uint64_t> route_allocs;
+  std::vector<std::uint64_t> blocks;
+  std::vector<std::uint64_t> bytes;
   for (const auto& a : inputs) {
     RoutePlan plan;
     std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
@@ -415,6 +507,8 @@ void check_compile_allocations() {
         g_heap_allocs.load(std::memory_order_relaxed) - before;
     EXPECT_EQ(cold.delivered, expected_delivery(a));
     compile_residual.push_back(compile_allocs - plan_blocks(plan));
+    blocks.push_back(plan_blocks(plan));
+    bytes.push_back(plan_bytes(plan));
 
     before = g_heap_allocs.load(std::memory_order_relaxed);
     const RouteResult routed = net.route(a, packed);
@@ -428,6 +522,10 @@ void check_compile_allocations() {
   EXPECT_EQ(compile_residual[0], compile_residual[2]);
   EXPECT_EQ(route_allocs[0], route_allocs[1]);
   EXPECT_EQ(route_allocs[0], route_allocs[2]);
+  // The plan footprint, pinned: a plan holds each pass's settings once,
+  // as stage masks (both schedules capture the same shapes).
+  EXPECT_EQ(blocks, (std::vector<std::uint64_t>{303, 321, 343}));
+  EXPECT_EQ(bytes, (std::vector<std::uint64_t>{90576, 106928, 102160}));
 }
 
 TEST(CompileAllocations, UnrolledCompileAllocatesOnlyForPlanCapture) {
